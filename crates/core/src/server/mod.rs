@@ -13,12 +13,17 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! accept ── frame ── parse ── admit ──► DeadlineQueue ──► worker pool
-//!                              │   ▲        │                  │
-//!              REJECTED (unmeetable)  REJECTED (queue-full,    │
-//!                                     shed latest deadline)    │
-//!                                           │                  ▼
-//!                 client ◄── out-of-order response frames ── router.query
+//!                connection reader thread                              worker pool
+//! accept ── frame ──── parse ─────── admit ─────► DeadlineQueue ────► router.query
+//!                        │             │                │                   │
+//!                  PONG / STATS    REJECTED         REJECTED           OK / ERR /
+//!                      / ERR      unmeetable       queue-full       deadline-exceeded
+//!                        ▼             ▼                ▼                   ▼
+//!                        └─────────────┴───────┬────────┴───────────────────┘
+//!                                              ▼
+//!                                     connection channel
+//!                                              │
+//! client ◄──── response frames ──── connection writer thread
 //! ```
 //!
 //! Every request carries a **deadline** (client-supplied `deadline_ms`,
@@ -46,7 +51,12 @@
 //!
 //! Because scheduling reorders requests, responses carry the client's
 //! correlation `id` and may arrive out of order; clients may pipeline
-//! freely.
+//! freely. Each connection has two threads: a reader that parses and
+//! admits frames, and a writer that is the only code touching the
+//! socket's write side. Every reply, from the reader or from a worker,
+//! goes through the connection's channel to the writer, which sends it
+//! as soon as it is ready (batching whatever else is already waiting
+//! into the same flush). No worker ever writes to a socket.
 //!
 //! [`ServerTelemetry`] tracks the serving health the roadmap asks for:
 //! a recent-window latency reservoir (p50/p95/p99), queue depth
@@ -76,11 +86,16 @@
 //!   (workspace pool, cache shards, calibration, telemetry) all recover
 //!   rather than cascade — a poisoned cache shard is cleared and
 //!   counted, never trusted.
-//! * **Client failures free server resources.** A peer that disconnects
-//!   with responses still owed, or dies mid-frame (length prefix
-//!   without payload), is counted in `aborted_connections`; its pending
-//!   completions drain into the closed channel and the connection
-//!   thread exits without wedging workers or other connections.
+//! * **Client failures free server resources.** A peer that dies
+//!   mid-frame (length prefix without payload), sends unframeable input,
+//!   or vanishes so that a response write fails, is counted in
+//!   `aborted_connections`. Its writer exits on the failed write, later
+//!   completions drain into the closed channel, and its reader exits at
+//!   EOF or, if paused, as soon as it sees the writer gone — workers and
+//!   other connections never wait on it. A peer that pipelines without
+//!   reading stops being read once it is owed more responses than
+//!   `queue_capacity + workers` plus a small constant, so it cannot make
+//!   the server hold an unbounded backlog of answers.
 //! * **Overload sheds, deadline pressure degrades** (see the lifecycle
 //!   above): `queue-full` / `deadline-unmeetable` / `deadline-exceeded`
 //!   are typed rejections, and precision-ladder degradation is counted,
@@ -105,14 +120,24 @@ pub use queue::{DeadlineQueue, Enqueued};
 pub use scheduler::{admit, Admission};
 pub use telemetry::{ServerTelemetry, TelemetrySnapshot};
 
-use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufWriter, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::thread::{ScopedJoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::backend::Router;
 use crate::quantized::PrecisionClass;
+use protocol::put_frame;
+
+/// Responses a connection may owe beyond `queue_capacity + workers`
+/// before its reader stops taking frames: one connection can still fill
+/// the whole queue and every worker, with room left for its PING and
+/// STATS replies.
+const OWED_SLACK: usize = 8;
 
 /// Tuning for a [`PprServer`].
 #[derive(Debug, Clone)]
@@ -127,8 +152,10 @@ pub struct ServerConfig {
     pub default_deadline_ms: f64,
     /// Completion latencies retained for quantile estimates.
     pub latency_reservoir: usize,
-    /// Read-timeout tick for connection threads: how often they notice
-    /// shutdown and flush out-of-order responses.
+    /// Read-timeout tick for connection readers: how often a reader
+    /// waiting on an idle (or throttled) client checks for shutdown.
+    /// Responses never wait for it — each connection's writer thread
+    /// sends them as soon as they are ready.
     pub poll_interval: Duration,
     /// Precision rung applied to `QUERY` frames that carry no
     /// `precision=` token (`None` keeps the `Exact64` default). Lets an
@@ -397,136 +424,127 @@ impl<'r, 'g> PprServer<'r, 'g> {
         }
     }
 
-    /// Serves one connection: read frames, admit queries, and interleave
-    /// out-of-order worker responses, until EOF or shutdown. Counts the
-    /// connection as aborted when the peer dies mid-frame or with
-    /// responses still owed.
-    fn handle_connection(&self, mut stream: TcpStream) -> io::Result<()> {
+    /// Serves one connection until EOF, shutdown or a dead peer. The
+    /// calling thread reads, parses and admits frames; a scoped writer
+    /// thread owns a clone of the socket and sends every reply — the
+    /// reader's own PONG, STATS and ERR frames as well as the workers'
+    /// completions — as soon as it is ready. Counts the connection as
+    /// aborted when the peer dies mid-frame, sends unframeable input, or
+    /// a response write fails.
+    fn handle_connection(&self, stream: TcpStream) -> io::Result<()> {
         stream.set_read_timeout(Some(self.config.poll_interval))?;
         // Nagle's algorithm can hold small response frames hostage to the
         // peer's delayed ACK (tens of ms) — poison for a deadline-driven
         // protocol, so write eagerly.
         stream.set_nodelay(true)?;
+        let write_half = stream.try_clone()?;
         let (tx, rx) = mpsc::channel::<Response>();
-        let mut inflight: usize = 0;
-        let mut torn_frame = false;
-        let result = self
-            .connection_loop(&mut stream, &tx, &rx, &mut inflight, &mut torn_frame)
-            .and_then(|()| stream.flush());
+        let owed = AtomicUsize::new(0);
+        let reader = std::thread::current();
+        let (torn_frame, written) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut out = BufWriter::new(write_half);
+                let written = write_responses(&mut out, rx, &owed, &reader);
+                if written.is_err() {
+                    // Close the connection as well: a reader blocked on it
+                    // reads EOF at once and takes no more frames whose
+                    // answers could never be sent.
+                    let _ = out.get_ref().shutdown(Shutdown::Both);
+                }
+                reader.unpark();
+                written
+            });
+            let torn_frame = self.read_requests(stream, tx, &owed, &writer);
+            (torn_frame, writer.join())
+        });
         // The client failed us (not the reverse) when it cut a frame
-        // mid-payload or vanished while responses were owed: count it,
-        // free the thread, and let stranded completions drain into the
-        // dropped receiver. Workers and other connections never notice.
-        if torn_frame || result.is_err() || inflight > 0 {
+        // mid-payload or stopped taking its responses: count it. Its
+        // stranded completions drain into the dropped receiver; workers
+        // and other connections never notice.
+        if torn_frame || !matches!(written, Ok(Ok(()))) {
             self.telemetry.on_aborted_connection();
-        }
-        result
-    }
-
-    /// The read/admit/respond loop of one connection. On return,
-    /// `inflight` holds the number of responses still owed (non-zero
-    /// only on error paths) and `torn_frame` whether the peer died
-    /// mid-frame.
-    fn connection_loop(
-        &self,
-        stream: &mut TcpStream,
-        tx: &mpsc::Sender<Response>,
-        rx: &mpsc::Receiver<Response>,
-        inflight: &mut usize,
-        torn_frame: &mut bool,
-    ) -> io::Result<()> {
-        let mut reader = FrameReader::new();
-        let mut open = true;
-        loop {
-            // Shutdown stops reading new frames but does NOT abandon
-            // responses already owed: the workers drain queued residents
-            // after the queue closes, and every admitted request must
-            // still reach its client ("drained, not dropped").
-            let reading = open && !self.is_shutdown();
-            if !reading && *inflight == 0 {
-                break;
-            }
-            if reading {
-                match reader.read_event(stream) {
-                    Ok(FrameEvent::Frame(payload)) => {
-                        self.handle_frame(&payload, stream, tx, inflight)?;
-                    }
-                    Ok(FrameEvent::Idle) => {}
-                    Ok(FrameEvent::Eof) => {
-                        open = false;
-                        // Bytes buffered past the last frame boundary
-                        // mean the peer died mid-frame.
-                        *torn_frame = reader.has_partial();
-                    }
-                    Err(_) => {
-                        // Unframeable input (oversized length, invalid
-                        // UTF-8, transport error): the peer broke the
-                        // framing contract.
-                        open = false;
-                        *torn_frame = true;
-                    }
-                }
-            } else {
-                // EOF, read error, or shutdown, but responses still owed
-                // (the peer may have half-closed): wait out the
-                // stragglers. A write failure below aborts the drain, so
-                // a vanished peer cannot wedge the wind-down.
-                match rx.recv_timeout(self.config.poll_interval) {
-                    Ok(response) => {
-                        write_frame(stream, &response.encode())?;
-                        *inflight -= 1;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // Flush any completions that arrived while we were reading.
-            while let Ok(response) = rx.try_recv() {
-                write_frame(stream, &response.encode())?;
-                *inflight -= 1;
-            }
         }
         Ok(())
     }
 
-    /// Dispatches one parsed frame.
-    fn handle_frame(
+    /// The reader half of a connection: takes frames until EOF, a framing
+    /// error, shutdown, or a dead writer, and returns whether the peer
+    /// broke the framing contract. Dropping `tx` on return lets the writer
+    /// finish once the connection's queued jobs have answered, so shutdown
+    /// drains responses already owed rather than dropping them.
+    ///
+    /// Every frame is owed exactly one response. While more than
+    /// `queue_capacity + workers + OWED_SLACK` are owed the reader takes
+    /// no frame, so a peer that never reads leaves its frames in the
+    /// socket instead of growing the writer's channel without bound.
+    fn read_requests(
         &self,
-        payload: &str,
-        stream: &mut TcpStream,
-        tx: &mpsc::Sender<Response>,
-        inflight: &mut usize,
-    ) -> io::Result<()> {
+        mut stream: TcpStream,
+        tx: mpsc::Sender<Response>,
+        owed: &AtomicUsize,
+        writer: &ScopedJoinHandle<'_, io::Result<()>>,
+    ) -> bool {
+        let max_owed = self.config.queue_capacity + self.config.workers + OWED_SLACK;
+        let mut reader = FrameReader::new();
+        while !self.is_shutdown() {
+            if owed.load(Ordering::SeqCst) > max_owed {
+                // The writer unparks this thread after each flush and when
+                // it exits; a writer that exited while we still hold a
+                // sender has failed a write, so the peer is gone.
+                if writer.is_finished() {
+                    break;
+                }
+                std::thread::park_timeout(self.config.poll_interval);
+                continue;
+            }
+            match reader.read_event(&mut stream) {
+                Ok(FrameEvent::Frame(payload)) => {
+                    owed.fetch_add(1, Ordering::SeqCst);
+                    self.handle_frame(&payload, &tx);
+                }
+                Ok(FrameEvent::Idle) => {}
+                // Bytes buffered past the last frame boundary mean the
+                // peer died mid-frame.
+                Ok(FrameEvent::Eof) => return reader.has_partial(),
+                // Unframeable input (oversized length, invalid UTF-8,
+                // transport error): the peer broke the framing contract.
+                Err(_) => return true,
+            }
+        }
+        false
+    }
+
+    /// Dispatches one parsed frame. Every reply goes through the
+    /// connection's channel — a `QUERY`'s from admission or from the
+    /// worker that serves it.
+    fn handle_frame(&self, payload: &str, tx: &mpsc::Sender<Response>) {
         let request = match Request::parse(payload) {
             Ok(request) => request,
             Err(message) => {
                 self.telemetry.on_error();
-                return write_frame(stream, &Response::Error { id: 0, message }.encode());
+                let _ = tx.send(Response::Error { id: 0, message });
+                return;
             }
         };
         match request {
-            Request::Ping => write_frame(stream, &Response::Pong.encode()),
-            Request::Stats => write_frame(
-                stream,
-                &Response::Stats(self.telemetry().render_compact()).encode(),
-            ),
+            Request::Ping => {
+                let _ = tx.send(Response::Pong);
+            }
+            Request::Stats => {
+                let _ = tx.send(Response::Stats(self.telemetry().render_compact()));
+            }
             Request::Shutdown => {
                 // Answer with the final snapshot, then stop the world.
-                let stats = Response::Stats(self.telemetry().render_compact());
-                let result = write_frame(stream, &stats.encode());
+                let _ = tx.send(Response::Stats(self.telemetry().render_compact()));
                 self.shutdown();
-                result
             }
-            Request::Query(spec) => {
-                self.admit_query(spec, tx, inflight);
-                Ok(())
-            }
+            Request::Query(spec) => self.admit_query(spec, tx),
         }
     }
 
     /// Admission + enqueue for one `QUERY`. All rejections flow through
     /// the connection's response channel, like completions.
-    fn admit_query(&self, spec: QuerySpec, tx: &mpsc::Sender<Response>, inflight: &mut usize) {
+    fn admit_query(&self, spec: QuerySpec, tx: &mpsc::Sender<Response>) {
         let mut spec = spec;
         if spec.precision.is_none() {
             spec.precision = self.config.default_precision;
@@ -541,7 +559,6 @@ impl<'r, 'g> PprServer<'r, 'g> {
         let remaining = Duration::try_from_secs_f64((deadline_ms / 1e3).max(0.0))
             .unwrap_or_else(|_| Duration::from_secs_f64(MAX_DEADLINE_MS / 1e3));
         let deadline = arrival + remaining;
-        *inflight += 1;
         let admission = match admit(self.router, &spec.to_query_request(), remaining) {
             Ok(admission) => admission,
             Err(e) => {
@@ -599,6 +616,29 @@ impl<'r, 'g> PprServer<'r, 'g> {
             remaining_us: remaining.as_micros() as u64,
         });
     }
+}
+
+/// The writer half of a connection: blocks on the connection's channel,
+/// encodes every response already waiting, and sends them with one flush.
+/// Returns once every sender (the reader and the jobs it queued) is gone,
+/// or with the first failed write.
+fn write_responses(
+    out: &mut BufWriter<TcpStream>,
+    rx: mpsc::Receiver<Response>,
+    owed: &AtomicUsize,
+    reader: &Thread,
+) -> io::Result<()> {
+    while let Ok(first) = rx.recv() {
+        let mut written = 0;
+        for response in std::iter::once(first).chain(rx.try_iter()) {
+            put_frame(out, &response.encode())?;
+            written += 1;
+        }
+        out.flush()?;
+        owed.fetch_sub(written, Ordering::SeqCst);
+        reader.unpark();
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for PprServer<'_, '_> {

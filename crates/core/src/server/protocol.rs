@@ -66,12 +66,21 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// a panic in a connection thread.
 pub const MAX_DEADLINE_MS: f64 = 3_600_000.0;
 
-/// Writes one frame: 4-byte big-endian payload length, then the payload.
+/// Writes one frame: 4-byte big-endian payload length, then the payload,
+/// then flushes `w` (so a client writing through a `BufWriter` sends every
+/// frame as it goes).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; oversized payloads are `InvalidInput`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
+    put_frame(w, payload)?;
+    w.flush()
+}
+
+/// [`write_frame`] without the flush: the server's connection writer
+/// queues every response already waiting and flushes them together.
+pub(crate) fn put_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -79,8 +88,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
         ));
     }
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
-    w.flush()
+    w.write_all(payload.as_bytes())
 }
 
 /// One observed event on a framed connection.
@@ -88,8 +96,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
 pub enum FrameEvent {
     /// A complete frame arrived.
     Frame(String),
-    /// The read timed out mid-wait (tick: check shutdown, flush
-    /// responses, try again). Any partial frame stays buffered.
+    /// The read timed out (or would block) before a whole frame arrived.
+    /// Any partial frame stays buffered; the caller may check its own
+    /// state (a server connection reader checks for shutdown) and read
+    /// again.
     Idle,
     /// The peer closed the connection.
     Eof,
@@ -97,10 +107,11 @@ pub enum FrameEvent {
 
 /// Incremental frame decoder that survives read timeouts.
 ///
-/// Server connection threads read with a short [`read
-/// timeout`](std::net::TcpStream::set_read_timeout) so they can notice
-/// shutdown and flush out-of-order responses; a timeout can split a
-/// frame across reads, so the decoder buffers partial input between
+/// Server connection readers read with a short [`read
+/// timeout`](std::net::TcpStream::set_read_timeout) so they notice
+/// shutdown while the peer is idle (responses go out on a separate
+/// writer thread and never wait for a read). A timeout can split a frame
+/// across reads, so the decoder buffers partial input between
 /// [`FrameReader::read_event`] calls.
 #[derive(Debug, Default)]
 pub struct FrameReader {

@@ -151,7 +151,6 @@ fn serving_config(queue: usize) -> ServerConfig {
         workers: 1,
         queue_capacity: queue,
         default_deadline_ms: 30_000.0,
-        poll_interval: Duration::from_millis(1),
         ..ServerConfig::default()
     }
 }

@@ -1,11 +1,15 @@
 //! Property-based tests over randomly generated graphs and parameters
-//! (the invariants listed in `DESIGN.md` §4).
+//! (the invariants listed in `DESIGN.md` §4), and over the byte streams
+//! the server's wire-frame decoder reads from untrusted peers.
+
+use std::io::{self, Read};
 
 use proptest::prelude::*;
 
 use meloppr::core::diffusion::{diffuse, diffuse_from_seed, DiffusionConfig};
 use meloppr::core::score_vec::{top_k_dense, top_k_sparse};
 use meloppr::graph::generators;
+use meloppr::server::{write_frame, FrameEvent, FrameReader, MAX_FRAME};
 use meloppr::{
     bfs_ball, exact_ppr, GraphView, MelopprEngine, MelopprParams, NodeId, PprParams,
     SelectionStrategy, Subgraph,
@@ -184,5 +188,110 @@ proptest! {
         let exact = meloppr::exact_top_k(&g, seed, &ppr).unwrap();
         let p = meloppr::precision_at_k(&outcome.ranking, &exact, 5);
         prop_assert!((0.0..=1.0).contains(&p));
+    }
+}
+
+/// A `Read` that hands `data` out in chunks of `sizes` (cycled), with a
+/// `WouldBlock` before each chunk — a socket whose read timeout keeps
+/// splitting frames at arbitrary boundaries.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    reads: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        if self.reads % 2 == 1 {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let size = self.sizes[self.reads / 2 % self.sizes.len()];
+        let n = size.min(buf.len()).min(self.data.len());
+        let (chunk, rest) = self.data.split_at(n);
+        buf[..n].copy_from_slice(chunk);
+        self.data = rest;
+        Ok(n)
+    }
+}
+
+/// Decodes `stream` to its end: the frames, then `Ok(has_partial)` at
+/// EOF or the kind of the error that stopped the decoder.
+fn decode_all(stream: &mut impl Read) -> (Vec<String>, Result<bool, io::ErrorKind>) {
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    loop {
+        match reader.read_event(stream) {
+            Ok(FrameEvent::Frame(frame)) => frames.push(frame),
+            Ok(FrameEvent::Idle) => {}
+            Ok(FrameEvent::Eof) => return (frames, Ok(reader.has_partial())),
+            Err(e) => return (frames, Err(e.kind())),
+        }
+    }
+}
+
+/// Chunk sizes spread from single bytes to more than the decoder's
+/// 4 KiB read buffer.
+fn arb_splits() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec((1usize..10, 0usize..4), 1..16).prop_map(|sizes| {
+        sizes
+            .into_iter()
+            .map(|(digit, exp)| digit * 10usize.pow(exp as u32))
+            .collect()
+    })
+}
+
+/// A UTF-8 payload of up to a few dozen KiB (any scalar value, repeated).
+fn arb_payload() -> impl Strategy<Value = String> {
+    (prop::collection::vec(0u32..0x11_0000, 0..24), 0usize..4).prop_map(|(chars, reps)| {
+        let unit: String = chars
+            .into_iter()
+            .map(|c| char::from_u32(c).unwrap_or(char::REPLACEMENT_CHARACTER))
+            .collect();
+        unit.repeat([1, 2, 40, 400][reps])
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn frames_survive_any_split(
+        payloads in prop::collection::vec(arb_payload(), 0..10),
+        sizes in arb_splits(),
+    ) {
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let (frames, end) = decode_all(&mut Chunked { data: &wire, sizes, reads: 0 });
+        prop_assert_eq!(frames, payloads);
+        prop_assert_eq!(end, Ok(false), "a clean close left a partial frame");
+    }
+
+    #[test]
+    fn arbitrary_bytes_decode_the_same_however_split(
+        pieces in prop::collection::vec(
+            (0u8..4, 0u8..4, 0u32..400, prop::collection::vec(0u16..256, 0..300)),
+            0..8,
+        ),
+        noise in prop::collection::vec(0u16..256, 0..8),
+        sizes in arb_splits(),
+    ) {
+        // Length-prefixed bodies, mostly ASCII under an honest prefix, then
+        // a few raw bytes: well-formed, invalid UTF-8, torn and oversized
+        // frames and clean closes all occur.
+        let mut wire = Vec::new();
+        for (binary, lying, len, body) in pieces {
+            let len = if lying == 0 { len } else { body.len() as u32 };
+            wire.extend_from_slice(&len.to_be_bytes());
+            let mask = if binary == 0 { 0xff } else { 0x7f };
+            wire.extend(body.into_iter().map(|b| b as u8 & mask));
+        }
+        wire.extend(noise.into_iter().map(|b| b as u8));
+        let whole = decode_all(&mut wire.as_slice());
+        let split = decode_all(&mut Chunked { data: &wire, sizes, reads: 0 });
+        prop_assert!(split.0.iter().all(|frame| frame.len() <= MAX_FRAME));
+        prop_assert_eq!(split, whole);
     }
 }

@@ -1,12 +1,14 @@
 //! Serving front-end integration tests over loopback TCP: concurrent
 //! clients get bit-identical results to direct execution, a saturated
 //! bounded queue sheds with typed rejections (and shuts down without
-//! deadlock), and deadline scheduling routes late-risk queries to
-//! cheaper backends or fails them fast.
+//! deadlock), deadline scheduling routes late-risk queries to cheaper
+//! backends or fails them fast, responses leave as soon as they are
+//! ready, and a client that never reads is throttled without starving
+//! others.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use meloppr::backend::LocalPpr;
 use meloppr::core::backend::{BackendCaps, CostEstimate};
@@ -68,12 +70,15 @@ impl Client {
 }
 
 /// A stub solver with a configurable static estimate, actual service
-/// time, and precision — the knobs deadline scheduling turns on.
+/// time, and precision — the knobs deadline scheduling turns on — and
+/// ranking length (nodes `seed..seed + entries`), which sizes its
+/// response frames.
 struct Stub {
     kind: BackendKind,
     precision: f64,
     estimate_ns: f64,
     work: Duration,
+    entries: u32,
 }
 
 impl PprBackend for Stub {
@@ -104,7 +109,7 @@ impl PprBackend for Stub {
             std::thread::sleep(self.work);
         }
         Ok(QueryOutcome {
-            ranking: vec![(req.seed, 1.0)],
+            ranking: (0..self.entries).map(|i| (req.seed + i, 1.0)).collect(),
             stats: QueryStats {
                 backend: self.kind,
                 stages: Vec::new(),
@@ -143,7 +148,6 @@ fn loopback_clients_match_direct_batch_execution() {
             workers: 3,
             queue_capacity: 64,
             default_deadline_ms: 10_000.0,
-            poll_interval: Duration::from_millis(1),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -235,6 +239,7 @@ fn saturation_sheds_with_bounded_queue_and_clean_shutdown() {
         precision: 0.9,
         estimate_ns: 1e6,               // claims 1 ms
         work: Duration::from_millis(3), // actually 3 ms
+        entries: 1,
     }));
     let server = PprServer::bind(
         &router,
@@ -242,7 +247,6 @@ fn saturation_sheds_with_bounded_queue_and_clean_shutdown() {
             workers: 1,
             queue_capacity: QUEUE,
             default_deadline_ms: DEADLINE_MS,
-            poll_interval: Duration::from_millis(1),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -313,12 +317,14 @@ fn deadlines_route_degrade_and_fast_fail() {
             precision: 1.0,
             estimate_ns: 5e7, // 50 ms, precise
             work: Duration::from_millis(50),
+            entries: 1,
         }))
         .with_backend(Box::new(Stub {
             kind: BackendKind::MonteCarlo,
             precision: 0.5,
             estimate_ns: 2e5, // 0.2 ms, cheap
             work: Duration::ZERO,
+            entries: 1,
         }));
     let server = PprServer::bind(
         &router,
@@ -326,7 +332,6 @@ fn deadlines_route_degrade_and_fast_fail() {
             workers: 1,
             queue_capacity: 16,
             default_deadline_ms: 1_000.0,
-            poll_interval: Duration::from_millis(1),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -459,6 +464,7 @@ fn shutdown_drains_inflight_responses() {
         precision: 0.9,
         estimate_ns: 1e6,
         work: Duration::from_millis(2),
+        entries: 1,
     }));
     let server = PprServer::bind(
         &router,
@@ -466,7 +472,6 @@ fn shutdown_drains_inflight_responses() {
             workers: 1,
             queue_capacity: BURST as usize,
             default_deadline_ms: 5_000.0,
-            poll_interval: Duration::from_millis(1),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -510,6 +515,7 @@ fn client_failures_free_workers_and_count_aborts() {
         precision: 0.9,
         estimate_ns: 1e6,
         work: Duration::from_millis(40),
+        entries: 1,
     }));
     let server = PprServer::bind(
         &router,
@@ -517,7 +523,6 @@ fn client_failures_free_workers_and_count_aborts() {
             workers: 1,
             queue_capacity: 16,
             default_deadline_ms: 10_000.0,
-            poll_interval: Duration::from_millis(1),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -552,10 +557,10 @@ fn client_failures_free_workers_and_count_aborts() {
 
         // Both aborts surface asynchronously on their connection
         // threads; wait for the counters rather than racing them.
-        let patience = std::time::Instant::now() + Duration::from_secs(10);
+        let patience = Instant::now() + Duration::from_secs(10);
         while server.telemetry().aborted_connections < 2 {
             assert!(
-                std::time::Instant::now() < patience,
+                Instant::now() < patience,
                 "client failures never counted: {:?}",
                 server.telemetry()
             );
@@ -584,6 +589,208 @@ fn client_failures_free_workers_and_count_aborts() {
     assert_eq!(snapshot.errors, 0);
 }
 
+/// A finished answer leaves as soon as it is ready, not when the
+/// connection's reader next wakes: with a one-second read tick and no
+/// further frame from the client, only a writer that does not wait for
+/// the reader delivers a 20 ms query in well under that second.
+#[test]
+fn responses_do_not_wait_for_the_read_tick() {
+    let router = Router::new().with_backend(Box::new(Stub {
+        kind: BackendKind::MonteCarlo,
+        precision: 0.9,
+        estimate_ns: 1e6,
+        work: Duration::from_millis(20),
+        entries: 1,
+    }));
+    let server = PprServer::bind(
+        &router,
+        ServerConfig {
+            workers: 1,
+            poll_interval: Duration::from_secs(1),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve());
+        let _guard = ShutdownOnDrop(&server);
+        {
+            let mut conn = Client::connect(addr);
+            let sent = Instant::now();
+            conn.send(&Request::Query(QuerySpec::new(1, 7)));
+            match conn.recv() {
+                Response::Ranking { id, .. } => assert_eq!(id, 1),
+                other => panic!("unexpected {other:?}"),
+            }
+            let waited = sent.elapsed();
+            assert!(
+                waited < Duration::from_millis(500),
+                "a 20 ms query took {waited:?} to come back"
+            );
+        } // closing lets the reader exit at EOF instead of at its next tick
+        server.shutdown();
+        serve.join().unwrap().unwrap();
+    });
+}
+
+/// Backpressure: a client that pipelines queries and never reads is not
+/// read without bound. Its large responses fill the socket, the server
+/// stops taking its frames once too many responses are owed, and the
+/// queries it took settle far below what it sent — while another client
+/// is still answered, dropping the silent one counts exactly one aborted
+/// connection, and shutdown still completes.
+#[test]
+fn a_client_that_never_reads_is_throttled_without_starving_others() {
+    const SENT: u64 = 300;
+    const PER_BATCH: u64 = 20;
+    // About 160 KB per response frame.
+    const ENTRIES: u32 = 20_000;
+
+    let router = Router::new().with_backend(Box::new(Stub {
+        kind: BackendKind::MonteCarlo,
+        precision: 0.9,
+        estimate_ns: 1e6,
+        work: Duration::ZERO,
+        entries: ENTRIES,
+    }));
+    let server = PprServer::bind(
+        &router,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 16,
+            default_deadline_ms: 60_000.0,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    // Every query the server took was either accepted or shed.
+    let taken = || {
+        let snapshot = server.telemetry();
+        snapshot.accepted + snapshot.shed
+    };
+
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve());
+        let _guard = ShutdownOnDrop(&server);
+
+        let mut silent = Client::connect(addr);
+        for batch in 0..SENT / PER_BATCH {
+            for i in 0..PER_BATCH {
+                let id = batch * PER_BATCH + i;
+                silent.send(&Request::Query(QuerySpec::new(id, 7)));
+            }
+            std::thread::sleep(Duration::from_millis(40));
+        }
+        // Settled: no query taken over a quarter of a second.
+        let mut settled = taken();
+        loop {
+            std::thread::sleep(Duration::from_millis(250));
+            let now = taken();
+            if now == settled {
+                break;
+            }
+            settled = now;
+        }
+        assert!(
+            settled < SENT / 2,
+            "the server took {settled} of {SENT} queries from a client that never reads"
+        );
+
+        // Another client is still served in the meantime.
+        let mut other = Client::connect(addr);
+        other.send(&Request::Ping);
+        assert_eq!(other.recv(), Response::Pong);
+        other.send(&Request::Query(QuerySpec::new(1, 3)));
+        match other.recv() {
+            Response::Ranking { id, ranking, .. } => {
+                assert_eq!(id, 1);
+                assert_eq!(ranking.len(), ENTRIES as usize);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(taken(), settled + 1, "the throttled client was read again");
+        assert_eq!(server.telemetry().aborted_connections, 0);
+
+        // Dropping the silent client fails its writer's blocked write and
+        // frees its paused reader.
+        drop(silent);
+        let patience = Instant::now() + Duration::from_secs(10);
+        while server.telemetry().aborted_connections == 0 {
+            assert!(
+                Instant::now() < patience,
+                "the dropped client was never counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(other);
+        server.shutdown();
+        serve.join().unwrap().unwrap();
+    });
+
+    assert_eq!(server.telemetry().aborted_connections, 1);
+}
+
+/// A response too large to frame cannot be sent: its connection is
+/// closed (the client reads EOF instead of waiting forever) and counted
+/// as aborted, and the server keeps serving other clients.
+#[test]
+fn an_unframeable_response_closes_its_connection() {
+    let router = Router::new().with_backend(Box::new(Stub {
+        kind: BackendKind::MonteCarlo,
+        precision: 0.9,
+        estimate_ns: 1e6,
+        work: Duration::ZERO,
+        // About 1.2 MB encoded, above the 1 MiB frame cap.
+        entries: 150_000,
+    }));
+    let server = PprServer::bind(
+        &router,
+        ServerConfig {
+            workers: 1,
+            default_deadline_ms: 60_000.0,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve());
+        let _guard = ShutdownOnDrop(&server);
+        let mut conn = Client::connect(addr);
+        conn.stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.send(&Request::Query(QuerySpec::new(1, 7)));
+        match conn.reader.read_event(&mut conn.stream) {
+            Ok(FrameEvent::Eof) | Err(_) => {}
+            Ok(FrameEvent::Idle) => panic!("the connection stayed open"),
+            Ok(FrameEvent::Frame(frame)) => panic!("unexpected {}-byte frame", frame.len()),
+        }
+        let patience = Instant::now() + Duration::from_secs(10);
+        while server.telemetry().aborted_connections == 0 {
+            assert!(
+                Instant::now() < patience,
+                "the connection was never counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut other = Client::connect(addr);
+        other.send(&Request::Ping);
+        assert_eq!(other.recv(), Response::Pong);
+        server.shutdown();
+        serve.join().unwrap().unwrap();
+    });
+
+    assert_eq!(server.telemetry().aborted_connections, 1);
+}
+
 /// Shutdown must unblock the accept loop even for a wildcard bind,
 /// where the self-connect wake-up targets the loopback address.
 #[test]
@@ -593,6 +800,7 @@ fn shutdown_wakes_wildcard_binds() {
         precision: 0.9,
         estimate_ns: 1e6,
         work: Duration::ZERO,
+        entries: 1,
     }));
     let server = PprServer::bind(&router, ServerConfig::default(), "0.0.0.0:0").unwrap();
     std::thread::scope(|scope| {
