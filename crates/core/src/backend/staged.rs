@@ -24,7 +24,12 @@ use crate::workspace::{QueryWorkspace, WorkspacePool};
 /// BFS: strictly between a RAM hit (0.0, free) and a miss (1.0, the
 /// full BFS charge). Feeds the `estimate()` BFS term so routing prices
 /// a tiered cache between all-RAM and all-miss serving.
-const COLD_HIT_COST_FACTOR: f64 = 0.35;
+///
+/// The value is `fig5_scalability`'s beyond-RAM probe
+/// (`BENCH_tiered.json`: depth-3 balls of G1 at scale 1.0, page-cached
+/// index, 2-vCPU x86-64 VM), which puts the median cold hit at 5.1 µs
+/// and the median BFS miss at 148.9 µs, a ratio of 0.035.
+const COLD_HIT_COST_FACTOR: f64 = 0.035;
 
 /// Multi-stage MeLoPPR (§IV) as a backend.
 ///

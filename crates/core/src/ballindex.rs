@@ -10,10 +10,9 @@
 //! index file. Online, a [`BallIndex`] serves any RAM miss with a single
 //! positioned read (`read_exact_at` into a pooled caller-owned buffer —
 //! no `unsafe`, no mmap) that decodes the compact wire form; the cache
-//! re-represents it per its configured ball store (inflating to a full
-//! sub-graph under the default store so disk-served answers stay
-//! bit-identical to BFS-served ones), falling back to live BFS only when
-//! the index lacks the node or was built at a different depth.
+//! serves and keeps that compact ball as-is (the kernels diffuse it to
+//! the same bits as a BFS-extracted sub-graph), falling back to live BFS
+//! only when the index lacks the node or was built at a different depth.
 //!
 //! # File format (`meloppr-ballindex v1`)
 //!
@@ -42,7 +41,9 @@
 //! A missing file is a silent cold boot; a corrupt, truncated or
 //! version-mismatched file **warns and boots cold** via
 //! [`BallIndex::load`], exactly like calibration state — a stale index
-//! must never keep a server from starting. Every decoded record passes
+//! must never keep a server from starting. [`BallIndex::load_for`] adds
+//! the same policy for an index built over a graph of another size, so
+//! a binary never serves another graph's balls. Every decoded record passes
 //! [`CompactBall::from_raw_parts`] validation, so a torn write can
 //! produce an error but never an out-of-bounds panic.
 //!
@@ -207,6 +208,31 @@ impl BallIndex {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// As [`BallIndex::load`] for an index that will serve a graph of
+    /// `num_nodes` nodes: an index built over a graph with a different
+    /// node count warns and boots cold too. A foreign index decodes
+    /// cleanly, so without this check the cache would serve another
+    /// graph's balls as this one's. `meloppr-serve` and `meloppr-cli`
+    /// both attach their `--ball-index` through here.
+    ///
+    /// # Errors
+    ///
+    /// As [`BallIndex::load`].
+    pub fn load_for(path: &Path, num_nodes: usize) -> io::Result<Option<BallIndex>> {
+        Ok(BallIndex::load(path)?.filter(|index| {
+            let matches = index.num_nodes() == num_nodes;
+            if !matches {
+                eprintln!(
+                    "warning: ignoring ball index {}: built over a {}-node graph, \
+                     serving a {num_nodes}-node one",
+                    path.display(),
+                    index.num_nodes()
+                );
+            }
+            matches
+        }))
     }
 
     /// The ball depth every record was built at; only lookups for
@@ -559,6 +585,19 @@ mod tests {
         // A missing file is silent.
         let _ = std::fs::remove_file(&path);
         assert!(BallIndex::load(&path).unwrap().is_none());
+    }
+
+    #[test]
+    fn an_index_of_another_graph_boots_cold() {
+        let g = generators::path(16).unwrap();
+        let path = tmp_path("foreign");
+        build_index(&g, 1, &path).unwrap();
+        let index = BallIndex::load_for(&path, 16).unwrap();
+        assert_eq!(index.map(|index| index.num_nodes()), Some(16));
+        assert!(BallIndex::load_for(&path, 17).unwrap().is_none());
+        assert!(BallIndex::load_for(&path, 15).unwrap().is_none());
+        let _ = std::fs::remove_file(&path);
+        assert!(BallIndex::load_for(&path, 16).unwrap().is_none());
     }
 
     #[test]

@@ -25,17 +25,17 @@
 //! MELOPPR's claim is *memory*-efficient PPR, so capacity is governed in
 //! bytes, not entry counts: a 50k-node hub ball and a 12-node leaf ball
 //! are not the same cost. A [`CacheBudget`] bounds resident entries
-//! and/or resident bytes (each ball is charged its measured
-//! `Subgraph::memory_bytes().total()` at admission time); both bounds are
-//! maintained by **global atomic counters with CAS reservation**, so the
-//! cache never exceeds a configured budget — not per shard, not
-//! transiently, not under concurrent inserts. (The previous design split
-//! the entry budget `ceil(capacity / shards)` per shard, over-admitting
-//! by up to `shards - 1` entries; the global counters close that hole.)
-//! Admission reserves budget *before* an entry becomes resident, evicting
-//! the least-recently-used published entries — across all shards — until
-//! the candidate fits; a candidate larger than the whole byte budget is
-//! rejected outright (served, never resident).
+//! and/or resident bytes (each ball is charged the measured bytes of its
+//! resident form, [`CachedBall::memory_bytes_total`], at admission time);
+//! both bounds are maintained by **global atomic counters with CAS
+//! reservation**, so the cache never exceeds a configured budget — not
+//! per shard, not transiently, not under concurrent inserts. (The
+//! previous design split the entry budget `ceil(capacity / shards)` per
+//! shard, over-admitting by up to `shards - 1` entries; the global
+//! counters close that hole.) Admission reserves budget *before* an entry
+//! becomes resident, evicting the least-recently-used published entries —
+//! across all shards — until the candidate fits; a candidate larger than
+//! the whole byte budget is rejected outright (served, never resident).
 //!
 //! # Concurrent design
 //!
@@ -111,31 +111,33 @@
 //! # The cold tier: a persisted ball index below RAM
 //!
 //! A byte-budgeted cache eventually faces graphs whose hot ball set does
-//! not fit in RAM at all. Attaching a persisted
-//! [`BallIndex`] via
+//! not fit in RAM at all. Attaching a persisted [`BallIndex`] via
 //! [`ConcurrentSubgraphCache::with_cold_tier`] adds a disk tier below the
 //! RAM tier: a RAM miss whose `(node, depth)` ball is in the index is
 //! served by **one positioned read** (`read_exact_at` into a pooled,
 //! caller-owned buffer — no mmap, no `unsafe`), decoded from the compact
-//! wire form, re-represented per the configured [`BallStore`] (under the
-//! default `Full` store the record is inflated back into a full
-//! [`Subgraph`] so disk-served answers stay **bit-identical** to
-//! BFS-served ones; under `Compact` the wire form is the resident form)
-//! and admitted through the same [`AdmissionPolicy`]/[`CacheBudget`]
-//! gates as a fresh extraction. Live BFS remains the fallback whenever the index lacks the
-//! node or depth, or the read/decode fails — the cold tier is an
-//! accelerator, never a correctness dependency. Cold traffic is counted
-//! separately ([`CacheStats::cold_hits`], [`CacheStats::cold_bytes_read`],
-//! [`CacheStats::cold_fallbacks`], and per consumer) so the staged
-//! backend's `estimate()` can price a cold hit between a RAM hit and a
-//! BFS miss. The on-disk file format is documented in
-//! [`ballindex`](crate::ballindex).
+//! wire form, kept in that form as a [`CachedBall::Compact`] under every
+//! [`BallStore`] (the exact kernel diffuses a compact ball to the same
+//! bits as the full [`Subgraph`], so disk-served answers stay
+//! **bit-identical** to BFS-served ones) and admitted through the same
+//! [`AdmissionPolicy`]/[`CacheBudget`] gates as a fresh extraction,
+//! charged its compact bytes. Live BFS remains the fallback whenever the
+//! index lacks the node or depth, or the read/decode fails — the cold
+//! tier is an accelerator, never a correctness dependency. Cold traffic
+//! is counted separately ([`CacheStats::cold_hits`],
+//! [`CacheStats::cold_bytes_read`], [`CacheStats::cold_fallbacks`], and
+//! per consumer) so the staged backend's `estimate()` can price a cold
+//! hit between a RAM hit and a BFS miss. The on-disk file format is
+//! documented in [`ballindex`](crate::ballindex).
 //!
-//! Both cache facades store [`Arc<Subgraph>`] so readers share entries
-//! without copying, and both charge **zero BFS work on hits** — the
+//! Both cache facades store each ball behind an [`Arc`] (a
+//! [`CachedBall`]) so readers share entries without copying, and both
+//! charge **zero BFS work on hits** — the
 //! whole point of caching (the work counter in the `_counted` getters is
 //! the adjacency entries scanned, 0 unless this call performed the BFS).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
@@ -150,20 +152,21 @@ type CacheKey = (NodeId, u32);
 
 /// How a cache stores resident balls.
 ///
-/// The default [`BallStore::Full`] keeps the extracted [`Subgraph`]s
-/// themselves — zero-copy hits, bit-identical to fresh extraction.
-/// [`BallStore::Compact`] is the precision ladder's memory rung: it
-/// stores residents as [`CompactBall`]s (`u16` local adjacency, no
-/// global→local map) at roughly **half** the bytes, so the same
-/// [`CacheBudget::bytes`] holds ~2× more balls (asserted ≥ 1.5× by the
-/// fig5 ladder section). Compact residents are served to the staged
-/// engine's ball-aware lookups and diffused by the dense quantized
-/// kernel; legacy full-ball getters hitting a compact resident fall back
-/// to a fresh extraction (only reachable when compaction was explicitly
-/// opted into).
+/// The store decides the form of BFS-extracted residents; balls served
+/// by the cold tier stay in the compact form they are decoded into
+/// under either store. The default [`BallStore::Full`] keeps the
+/// extracted [`Subgraph`]s themselves — zero-copy hits, bit-identical to
+/// fresh extraction. [`BallStore::Compact`] is the precision ladder's
+/// memory rung: it stores residents as [`CompactBall`]s (`u16` local
+/// adjacency, no global→local map) at roughly **half** the bytes, so the
+/// same [`CacheBudget::bytes`] holds ~2× more balls (asserted ≥ 1.5× by
+/// the fig5 ladder section). Compact residents are served as-is to the
+/// staged engine's ball-aware lookups, whose kernels take either form
+/// and give the same bits at every rung; legacy full-ball getters
+/// hitting a compact resident fall back to a fresh extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BallStore {
-    /// Residents are full [`Subgraph`]s (default).
+    /// BFS-extracted residents are full [`Subgraph`]s (default).
     #[default]
     Full,
     /// Residents are compacted to [`CompactBall`]s when the ball fits
@@ -1161,9 +1164,9 @@ struct Shard {
 }
 
 /// Adapts a lookup result to the legacy full-ball contract: a compact
-/// hit (only reachable when [`BallStore::Compact`] was opted into) is
-/// served by a fresh extraction — the compact resident keeps its slot,
-/// and the hit was already counted. Re-extracting (rather than
+/// hit (a [`BallStore::Compact`] resident, or a ball the cold tier
+/// served) is served by a fresh extraction — the compact resident keeps
+/// its slot, and the hit was already counted. Re-extracting (rather than
 /// [`CompactBall::to_subgraph`]) keeps the legacy getters' "BFS path by
 /// contract" promise and their work accounting intact.
 fn inflate_full<G: GraphView + ?Sized>(
@@ -1498,12 +1501,12 @@ impl ConcurrentSubgraphCache {
 
     /// Attaches a persisted [`BallIndex`] as this cache's **cold tier**
     /// (builder style): a RAM miss whose `(node, depth)` ball the index
-    /// holds is served by one positioned read, decoded, re-represented
-    /// per the configured [`BallStore`] (inflated to a full [`Subgraph`]
-    /// under the default `Full` store so disk-served answers stay
-    /// bit-identical to BFS-served ones) and admitted through the normal
-    /// [`AdmissionPolicy`]/[`CacheBudget`] gates; live BFS remains the
-    /// fallback when the index lacks the ball or the read fails. Only the
+    /// holds is served by one positioned read and decoded into a
+    /// [`CachedBall::Compact`] under every [`BallStore`] (disk-served
+    /// answers stay bit-identical to BFS-served ones, because the
+    /// kernels diffuse both forms alike) and admitted through the normal
+    /// [`AdmissionPolicy`]/[`CacheBudget`] gates at its compact bytes;
+    /// live BFS remains the fallback when the index lacks the ball or the read fails. Only the
     /// ball-representation lookups
     /// ([`ConcurrentSubgraphCache::get_ball_with_as`] and the budget
     /// probes) consult the cold tier — the legacy full-[`Subgraph`]
@@ -1529,25 +1532,6 @@ impl ConcurrentSubgraphCache {
                 Some(compact) => CachedBall::Compact(Arc::new(compact)),
                 None => CachedBall::Full(Arc::clone(sub)),
             },
-        }
-    }
-
-    /// The representation a cold-tier ball is served and stored under.
-    /// Under [`BallStore::Full`] (the default, bit-identical mode) the
-    /// decoded record is inflated back into a full [`Subgraph`] so it
-    /// diffuses through exactly the kernel a fresh BFS extraction would
-    /// — disk-served and RAM-served answers stay bit-identical. Under
-    /// [`BallStore::Compact`] the wire form *is* the resident form, so
-    /// no inflation happens. Inflation failure (unreachable for records
-    /// that passed [`CompactBall::from_raw_parts`]) degrades to the
-    /// compact form rather than failing the lookup.
-    fn cold_ball(&self, ball: CompactBall) -> CachedBall {
-        match self.store {
-            BallStore::Full => match ball.to_subgraph() {
-                Ok(sub) => CachedBall::Full(Arc::new(sub)),
-                Err(_) => CachedBall::Compact(Arc::new(ball)),
-            },
-            BallStore::Compact => CachedBall::Compact(Arc::new(ball)),
         }
     }
 
@@ -2190,7 +2174,7 @@ impl ConcurrentSubgraphCache {
                             return match extracted {
                                 ExtractedBall::Cold { ball, bytes } => {
                                     self.count_cold_hit(consumer, mode, bytes);
-                                    Ok((self.cold_ball(ball), 0))
+                                    Ok((CachedBall::Compact(Arc::new(ball)), 0))
                                 }
                                 ExtractedBall::Fresh {
                                     sub,
@@ -2248,15 +2232,14 @@ impl ConcurrentSubgraphCache {
                         // representation (`stored`), what this caller is
                         // served, and the cold/BFS accounting. A fresh
                         // BFS serves the caller the full extraction it
-                        // just performed; a cold hit decodes the wire
-                        // record and re-represents it per the configured
-                        // ball store (`cold_ball`) — no BFS to charge
-                        // either way.
+                        // just performed; a cold hit serves and stores
+                        // the decoded compact ball as-is, with no BFS to
+                        // charge.
                         let (stored, served, nodes, work) = match extracted {
                             ExtractedBall::Cold { ball, bytes } => {
                                 self.count_cold_hit(consumer, mode, bytes);
                                 let nodes = ball.global_ids().len();
-                                let stored = self.cold_ball(ball);
+                                let stored = CachedBall::Compact(Arc::new(ball));
                                 (stored.clone(), stored, nodes, 0)
                             }
                             ExtractedBall::Fresh {
@@ -2499,30 +2482,31 @@ impl ConcurrentSubgraphCache {
     /// when even evicting every candidate victim cannot make room
     /// (admission should reject); an empty plan means the budget
     /// already fits.
+    ///
+    /// The residents are heapified and victims popped until the
+    /// candidate fits: `O(R + v log R)` for `v` victims among `R`
+    /// residents, where a full sort costs `O(R log R)` on every
+    /// eviction. Keys are unique, so the pop order is the sort order.
     fn plan_victims(&self, keep: CacheKey, bytes: usize) -> Option<Vec<CacheKey>> {
-        let mut residents: Vec<(u64, CacheKey, usize)> = Vec::new();
+        let mut residents: Vec<Reverse<(u64, CacheKey, usize)>> = Vec::new();
         for shard in self.shards.iter() {
             let map = self.shard_read(shard);
             for (&key, entry) in map.iter() {
                 if key == keep || entry.published.get().is_none() {
                     continue;
                 }
-                residents.push((
+                residents.push(Reverse((
                     entry.last_used.load(Ordering::Relaxed),
                     key,
                     entry.charged_bytes.load(Ordering::Relaxed),
-                ));
+                )));
             }
         }
-        residents.sort_unstable();
-        let entries = self.resident_entries.load(Ordering::Relaxed);
-        let resident = self.resident_bytes.load(Ordering::Relaxed);
-        let mut freed_entries = 0usize;
-        let mut freed_bytes = 0usize;
+        let mut residents = BinaryHeap::from(residents);
+        let mut entries_left = self.resident_entries.load(Ordering::Relaxed);
+        let mut bytes_left = self.resident_bytes.load(Ordering::Relaxed);
         let mut plan = Vec::new();
-        for (_, key, charged) in residents {
-            let entries_left = entries.saturating_sub(freed_entries);
-            let bytes_left = resident.saturating_sub(freed_bytes);
+        loop {
             let entries_fit = self.budget.entries.is_none_or(|cap| entries_left < cap);
             let bytes_fit = self
                 .budget
@@ -2531,21 +2515,10 @@ impl ConcurrentSubgraphCache {
             if entries_fit && bytes_fit {
                 return Some(plan);
             }
+            let Reverse((_, key, charged)) = residents.pop()?;
             plan.push(key);
-            freed_entries += 1;
-            freed_bytes += charged;
-        }
-        let entries_left = entries.saturating_sub(freed_entries);
-        let bytes_left = resident.saturating_sub(freed_bytes);
-        let entries_fit = self.budget.entries.is_none_or(|cap| entries_left < cap);
-        let bytes_fit = self
-            .budget
-            .bytes
-            .is_none_or(|cap| bytes_left + bytes <= cap);
-        if entries_fit && bytes_fit {
-            Some(plan)
-        } else {
-            None
+            entries_left = entries_left.saturating_sub(1);
+            bytes_left = bytes_left.saturating_sub(charged);
         }
     }
 
@@ -2603,7 +2576,7 @@ impl ConcurrentSubgraphCache {
     }
 
     /// Resident bytes recomputed by summing every published entry's
-    /// measured `Subgraph::memory_bytes().total()` (O(residents), takes
+    /// measured [`CachedBall::memory_bytes_total`] (O(residents), takes
     /// every shard read lock). Once lookups quiesce this equals
     /// [`ConcurrentSubgraphCache::resident_bytes`] — asserted by the
     /// accounting property tests.

@@ -17,18 +17,18 @@
 //! non-zero mass, so early iterations on large graphs cost `O(ball)` rather
 //! than `O(|V|)`.
 //!
-//! It has a *dense* twin,
-//! [`diffuse_quantized`](crate::quantized::diffuse_quantized), generic
-//! over score width ([`f64`]/[`f32`]/Q-format `u32`), which the
-//! precision ladder executes for reduced-precision queries and for
-//! every diffusion over the compact ball store; its `f64`
-//! instantiation keeps this kernel's semantics (same `πa`/`πr`,
-//! leakage, and isolated-node rules, asserted by the quantized unit
-//! tests).
+//! It is the one `f64` kernel: generic over
+//! [`QuantView`], it runs on the full graph, on a BFS-extracted
+//! [`Subgraph`](meloppr_graph::Subgraph) and on the `u16`-adjacency
+//! [`CompactBall`](crate::quantized::CompactBall) the cache's cold tier
+//! and compact store serve. Neighbours are visited in adjacency order,
+//! which both ball forms share, so a ball diffuses to the same bits in
+//! either form. Reduced-precision rungs run the dense
+//! [`diffuse_quantized`](crate::quantized::diffuse_quantized) instead.
 //!
 //! # Degree semantics and leakage
 //!
-//! The random-walk divisor is [`GraphView::walk_degree`], which for
+//! The random-walk divisor is [`QuantView::walk_degree`], which for
 //! [`Subgraph`](meloppr_graph::Subgraph)s is the *parent-graph* degree.
 //! When a node propagates but some of its parent-graph neighbors are
 //! missing from the view (a truncated frontier node), the missing share of
@@ -40,9 +40,10 @@
 //! Nodes with `walk_degree == 0` (isolated nodes) retain their mass, which
 //! keeps `W` stochastic and diffusion mass-conserving.
 
-use meloppr_graph::{GraphView, NodeId};
+use meloppr_graph::NodeId;
 
 use crate::error::{PprError, Result};
+use crate::quantized::QuantView;
 
 /// Configuration of one diffusion: the decay factor and iteration count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,7 +137,7 @@ impl DiffusionScratch {
     }
 }
 
-/// Runs `GD(l)` on any graph view from a sparse initial vector.
+/// Runs `GD(l)` on any graph or ball view from a sparse initial vector.
 ///
 /// `init` entries must reference nodes of `g` and should be non-negative;
 /// duplicate node entries are summed.
@@ -163,7 +164,7 @@ impl DiffusionScratch {
 /// # Ok(())
 /// # }
 /// ```
-pub fn diffuse<G: GraphView + ?Sized>(
+pub fn diffuse<G: QuantView + ?Sized>(
     g: &G,
     init: &[(NodeId, f64)],
     config: DiffusionConfig,
@@ -188,7 +189,7 @@ pub fn diffuse<G: GraphView + ?Sized>(
 /// # Errors
 ///
 /// As [`diffuse`].
-pub fn diffuse_into<G: GraphView + ?Sized>(
+pub fn diffuse_into<G: QuantView + ?Sized>(
     g: &G,
     init: &[(NodeId, f64)],
     config: DiffusionConfig,
@@ -250,15 +251,15 @@ pub fn diffuse_into<G: GraphView + ?Sized>(
                 continue;
             }
             let share = mass / deg as f64;
-            let nbrs = g.neighbors(u);
-            work.edge_updates += nbrs.len();
-            for &v in nbrs {
+            let in_view = g.neighbors_len(u);
+            work.edge_updates += in_view;
+            g.for_each_neighbor(u, |v| {
                 if next[v as usize] == 0.0 {
                     next_frontier.push(v);
                 }
                 next[v as usize] += share;
-            }
-            work.leaked_mass += share * (deg as usize - nbrs.len()) as f64;
+            });
+            work.leaked_mass += share * (deg as usize - in_view) as f64;
         }
         // Swap buffers and clear the old one sparsely.
         for &u in frontier.iter() {
@@ -284,7 +285,7 @@ pub fn diffuse_into<G: GraphView + ?Sized>(
 /// # Errors
 ///
 /// As [`diffuse`].
-pub fn diffuse_from_seed<G: GraphView + ?Sized>(
+pub fn diffuse_from_seed<G: QuantView + ?Sized>(
     g: &G,
     seed: NodeId,
     config: DiffusionConfig,

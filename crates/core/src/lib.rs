@@ -34,14 +34,14 @@
 //!   offline-built, CRC-checksummed per-node ball index
 //!   ([`build_index`]) that the cache's cold tier
 //!   ([`ConcurrentSubgraphCache::with_cold_tier`]) serves RAM misses
-//!   from with one positioned read ([`BallIndex`]), decoding the compact
-//!   wire form (inflated to a full sub-graph under the default
-//!   [`BallStore::Full`] so disk-served answers stay bit-identical) and
-//!   falling back to live BFS only when the index lacks the node or its
-//!   depth;
+//!   from with one positioned read ([`BallIndex`]), serving the decoded
+//!   compact ball as-is under every [`BallStore`] (it diffuses to the
+//!   same bits as the BFS-extracted sub-graph) and falling back to live
+//!   BFS only when the index lacks the node or its depth;
 //! * [`diffusion`] — the `GD(l)` kernel producing accumulated (`πa`) and
 //!   residual (`πr`) scores (Eq. 1, Fig. 3(b)), with
-//!   [`diffuse_into`] computing into caller-owned scratch;
+//!   [`diffuse_into`] computing into caller-owned scratch, over the full
+//!   graph and either ball form;
 //! * [`quantized`] — **the precision ladder**: [`PrecisionClass`]
 //!   (`Exact64` / `Fast32` / `Fixed(q)`), the [`ScoreScalar`] abstraction
 //!   over f64/f32/Q-format score words, the dense branch-free

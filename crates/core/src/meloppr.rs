@@ -702,8 +702,9 @@ pub(crate) enum BallSource<'c> {
 
 /// A ball handed to one task: borrowed from the extraction scratch
 /// (fresh mode) or shared zero-copy out of a cache — in either resident
-/// representation when the cache compacts
-/// ([`BallStore::Compact`](crate::cache::BallStore)).
+/// representation (compact when the cache compacts,
+/// [`BallStore::Compact`](crate::cache::BallStore), or when the cold
+/// tier served it).
 enum Ball<'a> {
     Borrowed(&'a Subgraph),
     Cached(std::sync::Arc<Subgraph>),

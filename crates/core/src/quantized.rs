@@ -19,20 +19,24 @@
 //!
 //! Three pieces live here:
 //!
-//! 1. The [`ScoreScalar`] abstraction and the quantized diffusion kernel
-//!    [`diffuse_quantized`] — a *dense, branchless* twin of
-//!    [`diffuse_into`](crate::diffusion::diffuse_into). Where the exact
-//!    kernel is frontier-sparse (worth it on huge views), ball diffusion
-//!    saturates its frontier within a step or two, so the quantized
-//!    kernel drops all frontier bookkeeping: flat arrays, no branch in
-//!    the hot propagate loop, `chunks_exact` accumulation that
-//!    auto-vectorizes. Results are decoded back into the caller's
-//!    [`DiffusionScratch`], so everything downstream of a diffusion
-//!    (Eq. 8 adjustment, selection, aggregation) is width-agnostic.
-//! 2. [`CompactBall`] — a reduced-width cached-ball representation
-//!    (`u16` local adjacency, no global→local map) at roughly **half**
-//!    the bytes of a full [`Subgraph`], so a byte-budgeted cache admits
-//!    ~2× more residents (see `cache::BallStore::Compact`).
+//! 1. The [`ScoreScalar`] abstraction and the reduced-width diffusion
+//!    kernel [`diffuse_quantized`], which the `Fast32` and `Fixed(q)`
+//!    rungs run. Where the exact kernel
+//!    [`diffuse_into`](crate::diffusion::diffuse_into) is frontier-sparse
+//!    (worth it on huge views), ball diffusion saturates its frontier
+//!    within a step or two, so the quantized kernel drops all frontier
+//!    bookkeeping: flat arrays, no branch in the hot propagate loop,
+//!    `chunks_exact` accumulation that auto-vectorizes. Results are
+//!    decoded back into the caller's [`DiffusionScratch`], so everything
+//!    downstream of a diffusion (Eq. 8 adjustment, selection,
+//!    aggregation) is width-agnostic. `Exact64` runs the sparse kernel
+//!    on either ball form.
+//! 2. [`CompactBall`] — a reduced-width ball representation (`u16` local
+//!    adjacency, no global→local map) at roughly **half** the bytes of a
+//!    full [`Subgraph`]: the form the cold tier decodes and serves, and
+//!    the form `cache::BallStore::Compact` keeps every resident in, so a
+//!    byte-budgeted cache admits ~2× more residents. Both forms feed
+//!    every kernel through [`QuantView`].
 //! 3. [`PrecisionClass`] itself: parseable from CLI/wire strings
 //!    (`exact | f32 | qN`), with the conservative per-class precision
 //!    and latency factors the staged `estimate()` and the router's
@@ -215,8 +219,10 @@ impl std::str::FromStr for PrecisionClass {
 ///
 /// All masses live in `[0, 1]` (diffusions start from unit vectors), so
 /// fixed-point implementations can use the full fractional range. The
-/// `f64` implementation makes the generic kernels *bit-identical* to
-/// plain `f64` arithmetic.
+/// `f64` implementation is the forward-push kernel's `Exact64` rung
+/// (bit-identical to plain `f64` arithmetic); exact ball diffusion never
+/// goes through this trait, it runs the sparse
+/// [`diffuse_into`](crate::diffusion::diffuse_into).
 pub trait ScoreScalar:
     Copy + Default + PartialEq + Send + Sync + std::fmt::Debug + 'static
 {
@@ -399,13 +405,15 @@ impl ScoreScalar for Qu32 {
 }
 
 // ---------------------------------------------------------------------------
-// Ball views: full Subgraph or CompactBall
+// Views: every GraphView, and the CompactBall
 // ---------------------------------------------------------------------------
 
-/// The adjacency interface the quantized kernel propagates over —
-/// implemented by both the full [`Subgraph`] and the reduced-width
-/// [`CompactBall`] (whose neighbor ids are `u16`, so it cannot implement
-/// [`GraphView`]'s `&[u32]` contract).
+/// The adjacency interface every diffusion kernel propagates over:
+/// the exact [`diffuse_into`](crate::diffusion::diffuse_into) and the
+/// reduced-width [`diffuse_quantized`]. Every [`GraphView`] (the full
+/// graph, a [`Subgraph`]) implements it, and so does the reduced-width
+/// [`CompactBall`], whose `u16` neighbor ids cannot meet
+/// [`GraphView`]'s `&[u32]` contract.
 pub trait QuantView {
     /// Nodes in the view (local ids `0..n`).
     fn num_nodes(&self) -> usize;
@@ -417,7 +425,7 @@ pub trait QuantView {
     fn for_each_neighbor(&self, u: NodeId, f: impl FnMut(NodeId));
 }
 
-impl QuantView for Subgraph {
+impl<G: GraphView + ?Sized> QuantView for G {
     #[inline]
     fn num_nodes(&self) -> usize {
         GraphView::num_nodes(self)
@@ -438,34 +446,13 @@ impl QuantView for Subgraph {
     }
 }
 
-impl QuantView for meloppr_graph::CsrGraph {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        GraphView::num_nodes(self)
-    }
-    #[inline]
-    fn walk_degree(&self, u: NodeId) -> u32 {
-        GraphView::walk_degree(self, u)
-    }
-    #[inline]
-    fn neighbors_len(&self, u: NodeId) -> usize {
-        GraphView::neighbors(self, u).len()
-    }
-    #[inline]
-    fn for_each_neighbor(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
-        for &v in GraphView::neighbors(self, u) {
-            f(v);
-        }
-    }
-}
-
-/// A cached BFS ball stored at reduced width: `u16` local adjacency, no
-/// global→local hash map. Numerically interchangeable with the full
-/// [`Subgraph`] it was built from (same node order, same adjacency
-/// order, same parent degrees), at roughly **half** the resident bytes —
-/// which is exactly what lets a byte-budgeted cache
-/// ([`CacheBudget::bytes`](crate::cache::CacheBudget)) hold ~2× more
-/// balls (asserted by the fig5 ladder section at ≥ 1.5×).
+/// A BFS ball stored at reduced width: `u16` local adjacency, no
+/// global→local hash map. It keeps the node order, adjacency order and
+/// parent degrees of the [`Subgraph`] it was built from, so every
+/// kernel diffuses it to the same bits as that sub-graph, at roughly
+/// **half** the resident bytes — which is exactly what lets a
+/// byte-budgeted cache ([`CacheBudget::bytes`](crate::cache::CacheBudget))
+/// hold ~2× more balls (asserted by the fig5 ladder section at ≥ 1.5×).
 ///
 /// Only balls with ≤ 65 536 nodes compress (`u16` local ids); larger
 /// balls stay full-width ([`CompactBall::from_subgraph`] returns `None`
@@ -581,11 +568,10 @@ impl CompactBall {
     /// Inflates the compact form back into a full [`Subgraph`] —
     /// bit-identical to the extraction that produced it, because
     /// [`CompactBall::from_subgraph`] preserves the CSR layout exactly
-    /// (only narrowing local ids to `u16`). The cache's cold tier uses
-    /// this so disk-served balls diffuse through the same full-width
-    /// kernel as RAM-resident ones under [`BallStore::Full`].
-    ///
-    /// [`BallStore::Full`]: crate::cache::BallStore::Full
+    /// (only narrowing local ids to `u16`). The serving path never
+    /// inflates: the diffusion kernels take either form (see
+    /// [`QuantView`]), so the cold tier serves the decoded compact ball
+    /// as-is. This is for callers that need a [`GraphView`].
     ///
     /// # Errors
     ///
@@ -689,12 +675,11 @@ pub struct QuantScratch<S: ScoreScalar> {
     accumulated: Vec<S>,
 }
 
-/// One scratch per ladder width, owned by the query workspace. Only the
-/// widths a query actually uses ever grow.
+/// One scratch per reduced width, owned by the query workspace. Only the
+/// widths a query actually uses ever grow; `Exact64` diffuses into the
+/// caller's [`DiffusionScratch`] directly.
 #[derive(Debug, Default)]
 pub struct QuantScratchSet {
-    /// `f64` dense scratch (Exact64 on compact balls).
-    pub f64: QuantScratch<f64>,
     /// `f32` dense scratch (Fast32).
     pub f32: QuantScratch<f32>,
     /// Fixed-point dense scratch (`Fixed(q)`).
@@ -823,9 +808,10 @@ pub fn diffuse_quantized<S: ScoreScalar, V: QuantView + ?Sized>(
 }
 
 /// Dispatches one ball diffusion at the requested [`PrecisionClass`],
-/// writing decoded results into `out`. `Exact64` over a full
-/// [`Subgraph`] takes the legacy frontier-sparse kernel (bit-identical
-/// to the pre-ladder pipeline); every other combination runs the dense
+/// writing decoded results into `out`. `Exact64` runs the frontier-sparse
+/// [`diffuse_into`](crate::diffusion::diffuse_into) on either ball form,
+/// so a ball gives the same bits whether it was extracted by BFS or
+/// decoded from the cold tier; the narrower rungs run the dense
 /// quantized kernel.
 pub(crate) fn diffuse_ball(
     ball: BallRef<'_>,
@@ -846,7 +832,7 @@ pub(crate) fn diffuse_ball(
             diffuse_quantized::<Qu32, _>(sub, init, config, QCtx::new(q), &mut qs.fx, out)
         }
         (BallRef::Compact(b), PrecisionClass::Exact64) => {
-            diffuse_quantized::<f64, _>(b, init, config, (), &mut qs.f64, out)
+            crate::diffusion::diffuse_into(b, init, config, out)
         }
         (BallRef::Compact(b), PrecisionClass::Fast32) => {
             diffuse_quantized::<f32, _>(b, init, config, (), &mut qs.f32, out)
@@ -903,7 +889,8 @@ impl BallRef<'_> {
 mod tests {
     use super::*;
     use crate::diffusion::{diffuse_from_seed, DiffusionConfig};
-    use meloppr_graph::{bfs_ball, generators};
+    use meloppr_graph::generators::corpus::PaperGraph;
+    use meloppr_graph::{bfs_ball, generators, ExtractScratch};
 
     fn cfg(l: usize) -> DiffusionConfig {
         DiffusionConfig::new(0.85, l).unwrap()
@@ -949,22 +936,37 @@ mod tests {
         assert_eq!(mul_shift(1 << 15, fixed_coeff(0.85, 15), 15), 27853);
     }
 
+    /// `Exact64` is one kernel on both ball forms: the compact and full
+    /// forms of every depth-1..3 ball of G2 diffuse to the same bits and
+    /// the same work.
     #[test]
-    fn f64_quantized_kernel_matches_sparse_kernel() {
-        let g = generators::karate_club();
-        let ball = bfs_ball(&g, 0, 3).unwrap();
-        let sub = meloppr_graph::Subgraph::extract(&g, &ball).unwrap();
-        let mut qs = QuantScratch::<f64>::default();
-        let mut out = DiffusionScratch::new();
-        for l in [0usize, 1, 3] {
-            let exact = diffuse_from_seed(&sub, 0, cfg(l)).unwrap();
-            diffuse_quantized::<f64, _>(&sub, &[(0, 1.0)], cfg(l), (), &mut qs, &mut out).unwrap();
-            for i in 0..exact.accumulated.len() {
-                assert!(
-                    (out.accumulated()[i] - exact.accumulated[i]).abs() < 1e-12,
-                    "l={l} i={i}"
-                );
-                assert!((out.residual()[i] - exact.residual[i]).abs() < 1e-12);
+    fn exact_ball_diffusion_is_bit_identical_on_both_forms() {
+        let g = PaperGraph::G2Cora.generate_scaled(0.2, 11).unwrap();
+        let mut extract = ExtractScratch::new();
+        let mut qs = QuantScratchSet::default();
+        let mut full = DiffusionScratch::new();
+        let mut compact = DiffusionScratch::new();
+        for depth in 1..=3u32 {
+            for seed in 0..g.num_nodes() as NodeId {
+                let (sub, _) = extract.extract(&g, seed, depth).unwrap();
+                let ball = CompactBall::from_subgraph(sub).unwrap();
+                let (init, config) = ([(0, 1.0)], cfg(depth as usize));
+                let exact = PrecisionClass::Exact64;
+                let full_work =
+                    diffuse_ball(BallRef::Full(sub), &init, config, exact, &mut qs, &mut full)
+                        .unwrap();
+                let compact_work = diffuse_ball(
+                    BallRef::Compact(&ball),
+                    &init,
+                    config,
+                    exact,
+                    &mut qs,
+                    &mut compact,
+                )
+                .unwrap();
+                assert_eq!(compact_work, full_work, "seed {seed} depth {depth}");
+                assert_eq!(compact.accumulated(), full.accumulated(), "seed {seed}");
+                assert_eq!(compact.residual(), full.residual(), "seed {seed}");
             }
         }
     }
@@ -1039,9 +1041,8 @@ mod tests {
                     GraphView::walk_degree(&sub, u)
                 );
             }
-            // The full-width f64 kernel over the inflated ball must be
-            // bit-identical to the same kernel over the original — this
-            // is the cold tier's Exact64 bit-identity guarantee.
+            // The f64 kernel over the inflated ball must be
+            // bit-identical to the same kernel over the original.
             let a = diffuse_from_seed(&sub, 0, cfg(depth as usize)).unwrap();
             let b = diffuse_from_seed(&inflated, 0, cfg(depth as usize)).unwrap();
             assert_eq!(a.accumulated, b.accumulated);

@@ -55,8 +55,8 @@
 //! one positioned read and a compact decode instead of a live BFS
 //! (falling back to BFS when the index lacks the node or depth). A
 //! missing index file boots cold silently; a corrupt, truncated or
-//! version-mismatched one warns and boots cold, exactly like
-//! calibration state.
+//! version-mismatched one, or one built over a graph with a different
+//! node count, warns and boots cold, exactly like calibration state.
 //!
 //! `--budget-memory 256KiB` attaches an **enforced** per-query working
 //! set budget (`QueryBudget::max_memory_bytes`): the staged backend
@@ -776,13 +776,17 @@ fn save_calibration(router: &Router<'_>, qa: &QueryArgs) -> Result<(), String> {
 
 /// Builds the shared cache per the cache flags, attaching the
 /// `--ball-index` cold tier when one is given. A missing index file
-/// boots cold silently; a corrupt or version-mismatched one warns (via
-/// `BallIndex::load`) and boots cold.
-fn build_shared_cache(qa: &QueryArgs) -> Result<Arc<ConcurrentSubgraphCache>, String> {
+/// boots cold silently; a corrupt or version-mismatched one, or one
+/// built over a graph of another size, warns (via
+/// `BallIndex::load_for`) and boots cold.
+fn build_shared_cache(
+    g: &CsrGraph,
+    qa: &QueryArgs,
+) -> Result<Arc<ConcurrentSubgraphCache>, String> {
     let mut cache =
         ConcurrentSubgraphCache::with_budget(qa.cache_budget()).with_admission(qa.cache_admission);
     if let Some(path) = &qa.ball_index {
-        match BallIndex::load(Path::new(path)) {
+        match BallIndex::load_for(Path::new(path), g.num_nodes()) {
             Ok(Some(index)) => {
                 println!(
                     "ball index: cold tier attached from {path} (depth {}, {} nodes)",
@@ -791,8 +795,8 @@ fn build_shared_cache(qa: &QueryArgs) -> Result<Arc<ConcurrentSubgraphCache>, St
                 );
                 cache = cache.with_cold_tier(Arc::new(index));
             }
-            // `load` already warned on stderr for corrupt/mismatched
-            // files; a missing file is a silent cold boot.
+            // `load_for` already warned on stderr for corrupt or
+            // mismatched files; a missing file is a silent cold boot.
             Ok(None) => {}
             Err(e) => return Err(format!("reading ball index {path:?}: {e}")),
         }
@@ -831,7 +835,7 @@ fn build_pinned<'g>(
                 .map_err(err)?
                 .with_cache_window(qa.cache_window);
             if qa.cache_shared {
-                let cache = build_shared_cache(qa)?;
+                let cache = build_shared_cache(g, qa)?;
                 (
                     Box::new(backend.with_shared_cache(cache)) as Box<dyn PprBackend + Sync>,
                     format!(
@@ -877,7 +881,7 @@ fn build_router<'g>(
         // requests it routes there; its estimates discount BFS by the
         // backend consumer's windowed hit rate (and with self-calibration
         // also learn residual latency error).
-        meloppr_backend = meloppr_backend.with_shared_cache(build_shared_cache(qa)?);
+        meloppr_backend = meloppr_backend.with_shared_cache(build_shared_cache(g, qa)?);
     }
     Ok(Router::new()
         .with_backend(Box::new(ExactPower::new(g, ppr).map_err(err)?))

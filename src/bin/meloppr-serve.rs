@@ -35,9 +35,9 @@
 //! served with one positioned read and a compact decode instead of a
 //! live BFS over the graph, falling back to BFS when the index lacks
 //! the node or depth. A missing file boots cold silently; a corrupt,
-//! truncated or version-mismatched one warns and boots cold — the
-//! daemon never refuses to start over cold-tier state, exactly like
-//! calibration.
+//! truncated or version-mismatched one, or one built over a graph with
+//! a different node count, warns and boots cold — the daemon never
+//! refuses to start over cold-tier state, exactly like calibration.
 //!
 //! `--calibration-file F` makes the router's learned state persistent:
 //! loaded at startup (missing file = silent first boot; corrupt file =
@@ -285,7 +285,7 @@ fn build_router<'g>(g: &'g CsrGraph, args: &ServeArgs) -> Result<Router<'g>, Str
     };
     let mut cache = ConcurrentSubgraphCache::with_budget(CacheBudget::entries(args.cache_capacity));
     if let Some(path) = &args.ball_index {
-        match BallIndex::load(Path::new(path)) {
+        match BallIndex::load_for(Path::new(path), g.num_nodes()) {
             Ok(Some(index)) => {
                 eprintln!(
                     "meloppr-serve: ball index cold tier attached from {path} \
@@ -295,9 +295,10 @@ fn build_router<'g>(g: &'g CsrGraph, args: &ServeArgs) -> Result<Router<'g>, Str
                 );
                 cache = cache.with_cold_tier(Arc::new(index));
             }
-            // `load` already warned for corrupt/mismatched files; a
-            // missing file is a silent cold boot. The daemon always
-            // starts — cold-tier state is never worth refusing to serve.
+            // `load_for` already warned for corrupt files and for an
+            // index of another graph; a missing file is a silent cold
+            // boot. The daemon always starts — cold-tier state is never
+            // worth refusing to serve.
             Ok(None) => {}
             Err(e) => return Err(format!("reading ball index {path:?}: {e}")),
         }

@@ -1,13 +1,16 @@
 //! Two-tier ball store suite — run in release mode by CI next to the
 //! cache and memory-budget smokes.
 //!
-//! The tiered store's contract has three legs, each pinned here:
+//! The tiered store's contract has four legs, each pinned here:
 //!
 //! * **Fidelity** — a ball served from the persisted index is the same
 //!   ball a fresh BFS would extract: exhaustively at the record level,
 //!   and end-to-end as bit-identical rankings across all five backends
 //!   (only the staged backend consults the ball cache; the sweep pins
 //!   that attaching a cold tier changes *no* backend's answers).
+//! * **Residency** — a cold-served ball stays in the compact form it was
+//!   decoded into, under the default `BallStore::Full` too, and the RAM
+//!   tier charges it its compact bytes.
 //! * **The beyond-RAM win** — under a byte budget capped at ¼ of the
 //!   summed ball bytes, Zipf traffic served through the tiered store
 //!   stays bit-identical to uncached sequential execution while doing
@@ -30,9 +33,10 @@ use meloppr::backend::{BatchExecutor, ExactPower, LocalPpr, Meloppr, MonteCarlo}
 use meloppr::core::ballindex::{decode_record, encode_record};
 use meloppr::graph::generators::{self, corpus::PaperGraph};
 use meloppr::{
-    bfs_ball, build_index, BallIndex, CacheBudget, CompactBall, ConcurrentSubgraphCache, CsrGraph,
-    FpgaHybrid, GraphView, HybridConfig, MelopprParams, NodeId, PprBackend, PprParams,
-    QueryRequest, Ranking, SelectionStrategy, Subgraph,
+    bfs_ball, build_index, BallIndex, BallStore, CacheBudget, CacheConsumer, CachedBall,
+    CompactBall, ConcurrentSubgraphCache, CsrGraph, ExtractScratch, FpgaHybrid, GraphView,
+    HybridConfig, MelopprParams, NodeId, PprBackend, PprParams, QueryRequest, Ranking,
+    SelectionStrategy, Subgraph,
 };
 use meloppr_bench::sample_zipf_queries;
 
@@ -220,6 +224,58 @@ fn cold_tier_is_bit_identical_across_all_five_backends() {
     assert!(stats.cold_bytes_read > 0);
     assert_eq!(stats.extractions, 0, "a RAM miss fell through to BFS");
     assert_eq!(stats.cold_fallbacks, 0);
+}
+
+/// The residency contract: under the default `BallStore::Full`, a
+/// cold-served lookup returns the decoded `CachedBall::Compact` (no BFS,
+/// no inflation to a full sub-graph), a repeat lookup hits that same
+/// resident, and an unbounded RAM tier holding N cold-served balls
+/// charges exactly their summed compact bytes.
+#[test]
+fn cold_served_balls_stay_compact_and_are_charged_compact_bytes() {
+    let g = PaperGraph::G2Cora.generate_scaled(0.2, 11).unwrap();
+    let depth = 3u32;
+    let tmp = TempIndex::new("residency");
+    build_index(&g, depth, &tmp.0).unwrap();
+    let index = Arc::new(BallIndex::open(&tmp.0).unwrap());
+    let cache = ConcurrentSubgraphCache::with_budget(CacheBudget::unbounded())
+        .with_cold_tier(Arc::clone(&index));
+    assert_eq!(cache.ball_store(), BallStore::Full);
+
+    let consumer = CacheConsumer::new(64);
+    let mut scratch = ExtractScratch::new();
+    let mut buf = Vec::new();
+    let nodes: Vec<NodeId> = (0..48).filter(|&v| index.contains(v, depth)).collect();
+    assert!(nodes.len() >= 32, "the index must hold the probed balls");
+    let mut compact_bytes = 0usize;
+    for &node in &nodes {
+        let (served, work) = cache
+            .get_ball_with_as(&g, node, depth, &mut scratch, &mut buf, &consumer)
+            .unwrap();
+        assert_eq!(work, 0, "node {node}: a cold hit runs no BFS");
+        let CachedBall::Compact(ball) = served else {
+            panic!("node {node}: the cold-served ball was inflated to a full sub-graph");
+        };
+        let fresh = Subgraph::extract(&g, &bfs_ball(&g, node, depth).unwrap()).unwrap();
+        assert_eq!(*ball, CompactBall::from_subgraph(&fresh).unwrap());
+        compact_bytes += ball.memory_bytes_total();
+
+        let (again, _) = cache
+            .get_ball_with_as(&g, node, depth, &mut scratch, &mut buf, &consumer)
+            .unwrap();
+        assert!(
+            matches!(&again, CachedBall::Compact(hit) if Arc::ptr_eq(hit, &ball)),
+            "node {node}: a repeat lookup must hit the compact resident"
+        );
+    }
+
+    let stats = cache.stats();
+    assert_eq!(stats.cold_hits, nodes.len() as u64);
+    assert_eq!(stats.hits, nodes.len() as u64);
+    assert_eq!(stats.extractions, 0);
+    assert_eq!(cache.resident_entries(), nodes.len());
+    assert_eq!(cache.resident_bytes(), compact_bytes);
+    assert_eq!(cache.resident_bytes_exact(), compact_bytes);
 }
 
 /// The ISSUE-10 acceptance criterion: Zipf traffic under a cache byte
