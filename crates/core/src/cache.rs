@@ -7,18 +7,12 @@
 //! extraction for them is the dominant host cost (Fig. 7's light-blue
 //! bars). Under skewed real traffic the *same* hub balls recur across
 //! concurrent queries too, so extracted state is most valuable when it is
-//! shared by every worker serving the batch. One cache core lives here:
-//!
-//! * [`ConcurrentSubgraphCache`] — the serving structure: a sharded,
-//!   lock-striped map of `Arc<Subgraph>` designed for N batch workers
-//!   hammering it at once.
-//! * [`SubgraphCache`] — the single-threaded owned facade keyed by the
-//!   same `(node, depth)` keys, for one engine serving queries
-//!   sequentially (`&mut self`). It is a thin wrapper over a
-//!   single-shard concurrent core plus a private [`CacheConsumer`], so
-//!   eviction, windows, byte budgets and admission share **one** code
-//!   path with the serving cache (strict LRU with deterministic key
-//!   tie-breaking falls out of the single-shard configuration).
+//! shared by every worker serving the batch. One cache lives here:
+//! [`ConcurrentSubgraphCache`], a sharded, lock-striped map of
+//! [`CachedBall`]s keyed by `(node, depth)` and designed for N batch
+//! workers hammering it at once. Every cached staged query goes through
+//! it, whether one engine serves queries sequentially or a worker pool
+//! shares it.
 //!
 //! # Byte-denominated capacity
 //!
@@ -51,8 +45,8 @@
 //! pending entry and performs the BFS + induced-CSR extraction *outside
 //! any shard lock*; other workers missing on the same key find the
 //! placeholder and block on its condvar instead of duplicating the work.
-//! When the winner publishes the `Arc<Subgraph>`, every waiter receives
-//! the same zero-copy handle (counted as [`CacheStats::shared`]). A hot
+//! When the winner publishes the ball, every waiter receives the same
+//! zero-copy [`CachedBall`] (counted as [`CacheStats::shared`]). A hot
 //! ball is therefore extracted **once** no matter how many workers race
 //! for it — asserted by the concurrent-cache stress tests via the
 //! extraction counter.
@@ -60,10 +54,13 @@
 //! **Approximate recency via per-entry atomics.** Touching an entry
 //! stores a global clock stamp into its `AtomicU64` — a CLOCK-style
 //! relaxed write that needs no exclusive lock, so the hit path never
-//! serializes on recency bookkeeping. Eviction scans the shard for the
-//! smallest `(stamp, key)` (key tie-break keeps single-threaded runs
-//! reproducible); under concurrency the stamps are approximate, which is
-//! exactly the CLOCK trade: cheap hits, near-LRU victims.
+//! serializes on recency bookkeeping. Eviction heapifies the published
+//! residents of **every** shard by `(stamp, key)` and pops victims until
+//! the candidate fits. One global clock orders all shards, so a
+//! single-threaded run evicts in strict LRU order (smallest key breaking
+//! ties) whatever the shard count; under concurrency the stamps are
+//! approximate, which is exactly the CLOCK trade: cheap hits, near-LRU
+//! victims.
 //!
 //! # Telemetry: consumers, windows, admission
 //!
@@ -87,7 +84,7 @@
 //! BFS by the windowed rate — which tracks traffic shifts within one
 //! window instead of staying optimistic on the lifetime average.
 //!
-//! **Warming.** [`ConcurrentSubgraphCache::warm`] pre-extracts a ball
+//! **Warming.** [`ConcurrentSubgraphCache::warm_with`] pre-extracts a ball
 //! without counting a hit or a miss anywhere (only the physical
 //! `extractions` counter ticks), so cache warm-up never deflates any
 //! consumer's observed hit rate. Warming respects a size-based
@@ -130,18 +127,17 @@
 //! hit between a RAM hit and a BFS miss. The on-disk file format is
 //! documented in [`ballindex`](crate::ballindex).
 //!
-//! Both cache facades store each ball behind an [`Arc`] (a
-//! [`CachedBall`]) so readers share entries without copying, and both
-//! charge **zero BFS work on hits** — the
-//! whole point of caching (the work counter in the `_counted` getters is
-//! the adjacency entries scanned, 0 unless this call performed the BFS).
+//! Every resident is a [`CachedBall`] behind an [`Arc`], so readers share
+//! entries without copying, and hits charge **zero BFS work** — the whole
+//! point of caching (the work a lookup reports is the adjacency entries
+//! its own BFS scanned: 0 on hits, singleflight shares and cold reads).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
-use meloppr_graph::{bfs_ball, ExtractScratch, FastHashMap, GraphView, NodeId, Subgraph};
+use meloppr_graph::{ExtractScratch, FastHashMap, GraphView, NodeId, Subgraph};
 
 use crate::ballindex::BallIndex;
 use crate::error::Result;
@@ -160,10 +156,9 @@ type CacheKey = (NodeId, u32);
 /// memory rung: it stores residents as [`CompactBall`]s (`u16` local
 /// adjacency, no global→local map) at roughly **half** the bytes, so the
 /// same [`CacheBudget::bytes`] holds ~2× more balls (asserted ≥ 1.5× by
-/// the fig5 ladder section). Compact residents are served as-is to the
-/// staged engine's ball-aware lookups, whose kernels take either form
-/// and give the same bits at every rung; legacy full-ball getters
-/// hitting a compact resident fall back to a fresh extraction.
+/// the fig5 ladder section). Compact residents are served as-is: the
+/// staged engine's kernels take either form and give the same bits at
+/// every rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BallStore {
     /// BFS-extracted residents are full [`Subgraph`]s (default).
@@ -226,7 +221,8 @@ pub struct CacheBudget {
     /// Maximum resident entries (balls), `None` = unbounded.
     pub entries: Option<usize>,
     /// Maximum resident bytes (sum of each resident ball's
-    /// `Subgraph::memory_bytes().total()`), `None` = unbounded.
+    /// [`CachedBall::memory_bytes_total`] — the compact size for compact
+    /// residents), `None` = unbounded.
     pub bytes: Option<usize>,
 }
 
@@ -264,270 +260,6 @@ impl CacheBudget {
     pub fn with_bytes(mut self, bytes: usize) -> Self {
         self.bytes = Some(bytes);
         self
-    }
-}
-
-/// An LRU cache of extracted BFS-ball sub-graphs (single-threaded owned
-/// facade).
-///
-/// This is a thin wrapper over a **single-shard**
-/// [`ConcurrentSubgraphCache`] plus a private [`CacheConsumer`]: the
-/// eviction scan, byte budget, admission policy and hit-rate window are
-/// literally the concurrent cache's — one code path, two facades. With a
-/// single shard and single-threaded use the clock stamps are a strict
-/// LRU order with deterministic smallest-key tie-breaking, exactly the
-/// old owned semantics.
-///
-/// For sharing extracted balls *across* concurrent batch workers, use
-/// [`ConcurrentSubgraphCache`] directly.
-///
-/// # Examples
-///
-/// ```
-/// use meloppr_core::cache::SubgraphCache;
-/// use meloppr_graph::generators;
-///
-/// # fn main() -> Result<(), meloppr_core::PprError> {
-/// let g = generators::karate_club();
-/// let mut cache = SubgraphCache::new(16);
-/// let a = cache.get_or_extract(&g, 0, 2)?;
-/// let b = cache.get_or_extract(&g, 0, 2)?; // served from cache
-/// assert!(std::sync::Arc::ptr_eq(&a, &b));
-/// assert_eq!(cache.hits(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct SubgraphCache {
-    core: ConcurrentSubgraphCache,
-    consumer: CacheConsumer,
-}
-
-impl SubgraphCache {
-    /// Creates a cache holding at most `capacity` sub-graphs, with the
-    /// default [`DEFAULT_HIT_WINDOW`]-lookup hit-rate window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_window(capacity, DEFAULT_HIT_WINDOW)
-    }
-
-    /// As [`SubgraphCache::new`] with an explicit sliding-window size for
-    /// [`SubgraphCache::recent_hit_rate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `window == 0`.
-    pub fn with_window(capacity: usize, window: usize) -> Self {
-        Self::with_budget(CacheBudget::entries(capacity), window)
-    }
-
-    /// An owned cache governed by an arbitrary [`CacheBudget`] — byte
-    /// bounds work exactly as on the concurrent cache (same core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a budget bound or `window` is zero.
-    pub fn with_budget(budget: CacheBudget, window: usize) -> Self {
-        SubgraphCache {
-            core: ConcurrentSubgraphCache::with_budget_and_shards(budget, 1),
-            consumer: CacheConsumer::new(window),
-        }
-    }
-
-    /// Sets the [`AdmissionPolicy`] (builder style), as
-    /// [`ConcurrentSubgraphCache::with_admission`].
-    #[must_use]
-    pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.core = self.core.with_admission(policy);
-        self
-    }
-
-    /// Sets the resident-ball representation (builder style), as
-    /// [`ConcurrentSubgraphCache::with_ball_store`].
-    #[must_use]
-    pub fn with_ball_store(mut self, store: BallStore) -> Self {
-        self.core = self.core.with_ball_store(store);
-        self
-    }
-
-    /// Attaches a persisted ball index as the cold tier (builder style),
-    /// as [`ConcurrentSubgraphCache::with_cold_tier`].
-    #[must_use]
-    pub fn with_cold_tier(mut self, index: Arc<BallIndex>) -> Self {
-        self.core = self.core.with_cold_tier(index);
-        self
-    }
-
-    /// Resizes the hit-rate window, discarding its current contents
-    /// (cumulative counters are kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn set_window(&mut self, window: usize) {
-        self.consumer.resize_window(window);
-    }
-
-    /// Returns the cached ball around `(node, depth)`, extracting and
-    /// inserting it on a miss (evicting least-recently-used entries until
-    /// the budget holds it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<Arc<Subgraph>> {
-        Ok(self.get_or_extract_counted(g, node, depth)?.0)
-    }
-
-    /// As [`SubgraphCache::get_or_extract`], additionally reporting the
-    /// BFS work performed (0 on hits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        self.core
-            .get_or_extract_counted_as(g, node, depth, &self.consumer)
-    }
-
-    /// As [`SubgraphCache::get_or_extract_counted`], extracting through
-    /// `scratch` on a miss so BFS bookkeeping buffers are reused.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        self.core
-            .get_or_extract_with_as(g, node, depth, scratch, &self.consumer)
-    }
-
-    /// Ball-representation lookup, as
-    /// [`ConcurrentSubgraphCache::get_ball_with_as`]: a compact resident
-    /// is served as-is instead of being re-extracted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_ball_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        cold_buf: &mut Vec<u8>,
-    ) -> Result<(CachedBall, usize)> {
-        self.core
-            .get_ball_with_as(g, node, depth, scratch, cold_buf, &self.consumer)
-    }
-
-    /// Ball-representation probe, as
-    /// [`ConcurrentSubgraphCache::probe_ball_with_as`].
-    pub(crate) fn probe_ball_with<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        cold_buf: &mut Vec<u8>,
-    ) -> Result<(CachedBall, usize)> {
-        self.core
-            .probe_ball_with_as(g, node, depth, scratch, cold_buf, &self.consumer)
-    }
-
-    /// Admits an already-extracted ball (see
-    /// [`ConcurrentSubgraphCache::admit_extracted`]).
-    pub(crate) fn admit_extracted(&mut self, node: NodeId, depth: u32, sub: &Arc<Subgraph>) {
-        self.core
-            .admit_extracted(node, depth, sub, Some(&self.consumer));
-    }
-
-    /// Admits a cold-served compact ball (see
-    /// [`ConcurrentSubgraphCache::admit_cached`]).
-    pub(crate) fn admit_cached(&mut self, node: NodeId, depth: u32, ball: &CachedBall) {
-        self.core
-            .admit_cached(node, depth, ball, Some(&self.consumer));
-    }
-
-    /// Pre-extracts the ball around `(node, depth)` into the cache
-    /// **without counting a lookup**: neither the hit/miss counters nor
-    /// the sliding window move, so warming never deflates the observed
-    /// hit rate that routing reads. Already-resident keys are left
-    /// untouched (their recency is not bumped — warming is not demand).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction.
-    pub fn warm<G: GraphView + ?Sized>(&mut self, g: &G, node: NodeId, depth: u32) -> Result<()> {
-        self.core.warm(g, node, depth)
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.consumer.stats().hits as usize
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> usize {
-        self.consumer.stats().misses as usize
-    }
-
-    /// Hit fraction of the last `window` lookups (exact over the sliding
-    /// window configured at construction; 0.0 before any lookup).
-    /// Warm-ups ([`SubgraphCache::warm`]) are not lookups and do not
-    /// appear here.
-    pub fn recent_hit_rate(&self) -> f64 {
-        self.consumer.windowed_hit_rate()
-    }
-
-    /// This cache's cumulative per-consumer counters (including the
-    /// cold-tier breakdown), as [`CacheConsumer::stats`].
-    pub fn consumer_stats(&self) -> ConsumerStats {
-        self.consumer.stats()
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> CacheBudget {
-        self.core.budget()
-    }
-
-    /// Resident entries.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
-    }
-
-    /// Resident bytes (the exact global counter: sum of each resident
-    /// ball's measured footprint).
-    pub fn resident_bytes(&self) -> usize {
-        self.core.resident_bytes()
-    }
-
-    /// Drops every entry (statistics are kept).
-    pub fn clear(&mut self) {
-        self.core.clear();
     }
 }
 
@@ -722,7 +454,8 @@ const EWMA_UNSET: u64 = u64::MAX;
 /// attribution counters plus recency-weighted hit rates.
 ///
 /// Create one per logical consumer (per backend, per executor, per
-/// warming job) and pass it to the `*_as` lookup methods; the cache
+/// warming job) and pass it to
+/// [`ConcurrentSubgraphCache::get_ball_with_as`]; the cache
 /// updates the consumer's counters alongside its own global ones. All
 /// state is atomic, so one consumer handle may be shared by the worker
 /// threads serving that consumer (e.g. every worker of one batch
@@ -746,14 +479,16 @@ const EWMA_UNSET: u64 = u64::MAX;
 ///
 /// ```
 /// use meloppr_core::cache::{CacheConsumer, ConcurrentSubgraphCache};
-/// use meloppr_graph::generators;
+/// use meloppr_graph::{generators, ExtractScratch};
 ///
 /// # fn main() -> Result<(), meloppr_core::PprError> {
 /// let g = generators::karate_club();
 /// let cache = ConcurrentSubgraphCache::new(16);
 /// let consumer = CacheConsumer::new(64);
-/// cache.get_or_extract_counted_as(&g, 0, 2, &consumer)?;
-/// cache.get_or_extract_counted_as(&g, 0, 2, &consumer)?;
+/// let (mut scratch, mut cold_buf) = (ExtractScratch::new(), Vec::new());
+/// for _ in 0..2 {
+///     cache.get_ball_with_as(&g, 0, 2, &mut scratch, &mut cold_buf, &consumer)?;
+/// }
 /// assert_eq!(consumer.stats().hits, 1);
 /// assert_eq!(consumer.stats().misses, 1);
 /// assert!((consumer.windowed_hit_rate() - 0.5).abs() < 1e-12);
@@ -829,21 +564,6 @@ impl CacheConsumer {
     /// The window length in lookups.
     pub fn window_len(&self) -> usize {
         self.window.len()
-    }
-
-    /// Resizes the sliding window, discarding its contents (the
-    /// cumulative attribution counters are kept). Requires exclusive
-    /// access — lookups must have quiesced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn resize_window(&mut self, window: usize) {
-        assert!(window > 0, "hit-rate window must be positive");
-        self.window = (0..window).map(|_| AtomicU8::new(WINDOW_EMPTY)).collect();
-        *self.cursor.get_mut() = 0;
-        *self.filled.get_mut() = 0;
-        *self.window_free.get_mut() = 0;
     }
 
     /// Snapshot of this consumer's attribution counters (relaxed loads;
@@ -1163,29 +883,6 @@ struct Shard {
     map: RwLock<FastHashMap<CacheKey, Arc<Entry>>>,
 }
 
-/// Adapts a lookup result to the legacy full-ball contract: a compact
-/// hit (a [`BallStore::Compact`] resident, or a ball the cold tier
-/// served) is served by a fresh extraction — the compact resident keeps
-/// its slot, and the hit was already counted. Re-extracting (rather than
-/// [`CompactBall::to_subgraph`]) keeps the legacy getters' "BFS path by
-/// contract" promise and their work accounting intact.
-fn inflate_full<G: GraphView + ?Sized>(
-    g: &G,
-    node: NodeId,
-    depth: u32,
-    ball: CachedBall,
-    work: usize,
-) -> Result<(Arc<Subgraph>, usize)> {
-    match ball {
-        CachedBall::Full(sub) => Ok((sub, work)),
-        CachedBall::Compact(_) => {
-            let b = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &b)?;
-            Ok((Arc::new(sub), b.edges_scanned))
-        }
-    }
-}
-
 /// What a lookup's extraction closure produced on a RAM miss: a ball
 /// decoded from the cold tier (one positioned read, no BFS), or a live
 /// BFS extraction.
@@ -1300,7 +997,7 @@ enum LookupMode {
     /// memory-budget gate probes shrinking ball depths this way so
     /// over-budget balls it will not execute never displace residents;
     /// the depth it settles on is admitted explicitly via
-    /// [`ConcurrentSubgraphCache::admit_extracted`].
+    /// [`ConcurrentSubgraphCache::admit`].
     Probe,
 }
 
@@ -1310,20 +1007,27 @@ enum LookupMode {
 /// All methods take `&self`; the cache is meant to live in an
 /// [`Arc`] shared by every worker serving a graph. Hot balls are
 /// extracted **once** (singleflight); hits and shares return the same
-/// `Arc<Subgraph>` with zero BFS work.
+/// [`CachedBall`] (an `Arc` clone, never a copy) with zero BFS work.
+///
+/// Two public lookups exist: the demand lookup
+/// [`ConcurrentSubgraphCache::get_ball_with_as`] and the uncounted
+/// warm-up [`ConcurrentSubgraphCache::warm_with`].
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use meloppr_core::cache::ConcurrentSubgraphCache;
-/// use meloppr_graph::generators;
+/// use meloppr_core::cache::{CacheConsumer, CachedBall, ConcurrentSubgraphCache};
+/// use meloppr_graph::{generators, ExtractScratch};
 ///
 /// # fn main() -> Result<(), meloppr_core::PprError> {
 /// let g = generators::karate_club();
 /// let cache = Arc::new(ConcurrentSubgraphCache::new(64));
-/// let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2)?;
-/// let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2)?;
+/// let consumer = CacheConsumer::default();
+/// let (mut scratch, mut cold_buf) = (ExtractScratch::new(), Vec::new());
+/// let mut lookup = || cache.get_ball_with_as(&g, 0, 2, &mut scratch, &mut cold_buf, &consumer);
+/// let (CachedBall::Full(a), work_a) = lookup()? else { unreachable!() };
+/// let (CachedBall::Full(b), work_b) = lookup()? else { unreachable!() };
 /// assert!(Arc::ptr_eq(&a, &b)); // zero-copy reuse
 /// assert!(work_a > 0);
 /// assert_eq!(work_b, 0); // hits charge no BFS
@@ -1506,20 +1210,14 @@ impl ConcurrentSubgraphCache {
     /// answers stay bit-identical to BFS-served ones, because the
     /// kernels diffuse both forms alike) and admitted through the normal
     /// [`AdmissionPolicy`]/[`CacheBudget`] gates at its compact bytes;
-    /// live BFS remains the fallback when the index lacks the ball or the read fails. Only the
-    /// ball-representation lookups
-    /// ([`ConcurrentSubgraphCache::get_ball_with_as`] and the budget
-    /// probes) consult the cold tier — the legacy full-[`Subgraph`]
-    /// getters are BFS paths by contract.
+    /// live BFS remains the fallback when the index lacks the ball or
+    /// the read fails. Demand lookups and budget probes consult the cold
+    /// tier; warm-up ([`ConcurrentSubgraphCache::warm_with`]) is a BFS
+    /// path and never reads it.
     #[must_use]
     pub fn with_cold_tier(mut self, index: Arc<BallIndex>) -> Self {
         self.cold = Some(index);
         self
-    }
-
-    /// The attached cold-tier ball index, if any.
-    pub fn cold_tier(&self) -> Option<&BallIndex> {
-        self.cold.as_deref()
     }
 
     /// The representation an extracted ball would be stored under: the
@@ -1657,12 +1355,6 @@ impl ConcurrentSubgraphCache {
         self.budget
     }
 
-    /// The entry budget (`usize::MAX` when only a byte budget bounds the
-    /// cache). Prefer [`ConcurrentSubgraphCache::budget`].
-    pub fn capacity(&self) -> usize {
-        self.budget.entries.unwrap_or(usize::MAX)
-    }
-
     /// Resident (published) entries, from the global budget counter.
     pub fn resident_entries(&self) -> usize {
         self.resident_entries.load(Ordering::Relaxed)
@@ -1681,155 +1373,24 @@ impl ConcurrentSubgraphCache {
         &self.shards[(mixed >> 40) as usize % self.shards.len()]
     }
 
-    /// Returns the cached ball around `(node, depth)`, extracting it
-    /// exactly once across all concurrent callers on a miss. The lookup
-    /// is **unattributed** — it moves only the global counters. Serving
-    /// paths should identify themselves via
-    /// [`ConcurrentSubgraphCache::get_or_extract_counted_as`].
+    /// The demand lookup: returns the ball around `(node, depth)` in
+    /// **whichever representation the cache keeps** (a compact resident
+    /// is served as-is — the diffusion kernels consume either form and
+    /// give the same bits), extracting it exactly once across all
+    /// concurrent callers on a miss, and attributing the lookup to
+    /// `consumer`: its hit/shared/miss/extraction counters and windowed
+    /// hit rates move alongside the global counters, so several
+    /// consumers sharing this cache each observe exactly their own
+    /// traffic. The reported work is the BFS adjacency entries scanned by
+    /// **this call** — 0 on hits, singleflight shares and cold reads.
     ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<Arc<Subgraph>> {
-        Ok(self.get_or_extract_counted(g, node, depth)?.0)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract`], additionally
-    /// reporting the BFS work performed by **this call** — 0 on hits and
-    /// on singleflight shares (the winner alone is charged the scan).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(g, node, depth, None, LookupMode::Demand, |g, _| {
-            let ball = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &ball)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work: ball.edges_scanned,
-                fallback: false,
-            })
-        })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract_counted`], attributing
-    /// the lookup to `consumer`: its hit/shared/miss/extraction counters
-    /// and its windowed hit rates move alongside the global counters, so
-    /// several consumers sharing this cache each observe exactly their
-    /// own traffic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_counted_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(
-            g,
-            node,
-            depth,
-            Some(consumer),
-            LookupMode::Demand,
-            |g, _| {
-                let ball = bfs_ball(g, node, depth)?;
-                let sub = Subgraph::extract(g, &ball)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work: ball.edges_scanned,
-                    fallback: false,
-                })
-            },
-        )?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// As [`ConcurrentSubgraphCache::get_or_extract_counted`], extracting
-    /// through `scratch` on a miss so the BFS visited map, queue and ball
-    /// arrays are reused across misses. Unattributed; serving paths use
-    /// [`ConcurrentSubgraphCache::get_or_extract_with_as`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(g, node, depth, None, LookupMode::Demand, |g, _| {
-            let (sub, work) = scratch.extract_owned(g, node, depth)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work,
-                fallback: false,
-            })
-        })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// The serving-path lookup: extraction through the workspace
-    /// `scratch`, attribution to `consumer` (the query-workspace
-    /// integration used by the staged engine's shared-cache mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    pub fn get_or_extract_with_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = self.lookup(
-            g,
-            node,
-            depth,
-            Some(consumer),
-            LookupMode::Demand,
-            |g, _| {
-                let (sub, work) = scratch.extract_owned(g, node, depth)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work,
-                    fallback: false,
-                })
-            },
-        )?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// The precision ladder's serving-path lookup: as
-    /// [`ConcurrentSubgraphCache::get_or_extract_with_as`], but returns
-    /// the resident in **whichever representation the [`BallStore`]
-    /// keeps** — a compact hit is served as-is instead of being
-    /// re-extracted, which is the whole point of compact residents (the
-    /// quantized diffusion kernel consumes either form directly).
-    ///
-    /// This is a cold-tier-aware lookup: with a
+    /// A miss extracts through `scratch`, so the BFS visited map, queue
+    /// and ball arrays are reused across misses. With a
     /// [`ConcurrentSubgraphCache::with_cold_tier`] index attached, a RAM
-    /// miss tries one positioned read into `cold_buf` (a caller-pooled
-    /// buffer — the workspace owns it on the serving path, so steady
-    /// state stays allocation-free) before falling back to live BFS.
+    /// miss first tries one positioned read into `cold_buf` (a
+    /// caller-pooled buffer — the workspace owns it on the serving path,
+    /// so steady state stays allocation-free) before falling back to
+    /// live BFS.
     ///
     /// # Errors
     ///
@@ -1853,13 +1414,14 @@ impl ConcurrentSubgraphCache {
         )
     }
 
-    /// Ball-representation form of
-    /// [`ConcurrentSubgraphCache::probe_or_extract_with_as`]: counted
-    /// like demand, never admits, serves a compact resident as-is on a
-    /// hit. Cold-tier-aware like
-    /// [`ConcurrentSubgraphCache::get_ball_with_as`] — a probe served
-    /// from the index costs a read, not a BFS, and the depth the budget
-    /// gate settles on is admitted explicitly afterwards.
+    /// The budget probe: as [`ConcurrentSubgraphCache::get_ball_with_as`]
+    /// (counted like demand, cold-tier-aware, resident keys hit for
+    /// free), but an extracted ball is **never admitted** — it is served
+    /// to the caller and any singleflight waiters, then forgotten. The
+    /// staged engine's memory-budget gate probes shrinking ball depths
+    /// this way, so a depth it decides *not* to execute never displaces
+    /// residents or charges the byte budget; the depth it settles on is
+    /// admitted explicitly via [`ConcurrentSubgraphCache::admit`].
     pub(crate) fn probe_ball_with_as<G: GraphView + ?Sized>(
         &self,
         g: &G,
@@ -1879,86 +1441,27 @@ impl ConcurrentSubgraphCache {
         )
     }
 
-    /// As [`ConcurrentSubgraphCache::get_or_extract_with_as`], but an
-    /// extracted ball is **never admitted**: it is served to the caller
-    /// (and any singleflight waiters), counted like a demand lookup, and
-    /// then forgotten. The staged engine's memory-budget gate uses this
-    /// to probe shrinking ball depths — a depth it decides *not* to
-    /// execute must not displace residents or charge the byte budget;
-    /// the depth it settles on is admitted explicitly via
-    /// [`ConcurrentSubgraphCache::admit_extracted`]. Resident keys still
-    /// hit for free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction on misses.
-    #[cfg(test)]
-    pub(crate) fn probe_or_extract_with_as<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        node: NodeId,
-        depth: u32,
-        scratch: &mut ExtractScratch,
-        consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) =
-            self.lookup(g, node, depth, Some(consumer), LookupMode::Probe, |g, _| {
-                let (sub, work) = scratch.extract_owned(g, node, depth)?;
-                Ok(ExtractedBall::Fresh {
-                    sub,
-                    work,
-                    fallback: false,
-                })
-            })?;
-        inflate_full(g, node, depth, ball, work)
-    }
-
-    /// Makes an already-extracted ball resident (if the policy and
-    /// budget admit it): the admission half of a
-    /// [`probe_or_extract_with_as`](ConcurrentSubgraphCache::probe_or_extract_with_as)
-    /// that settled on this depth. No hit/miss is counted and no BFS
-    /// runs, but this **is** the executed ball's one demand sighting:
-    /// the frequency sketch is bumped here (probes never touch it), and
-    /// the full [`AdmissionPolicy`] applies — size gates, the
-    /// frequency gate's second-sighting rule and the TinyLFU
-    /// victim comparison behave exactly as they would for an unbudgeted
-    /// demand miss, so a memory budget never weakens admission control.
+    /// Makes a probed ball resident (if the policy and budget admit it):
+    /// the admission half of a
+    /// [`probe_ball_with_as`](ConcurrentSubgraphCache::probe_ball_with_as)
+    /// that settled on this depth. A BFS-extracted [`CachedBall::Full`]
+    /// is stored in the configured [`BallStore`] form; a ball the cold
+    /// tier served is kept in its decoded compact form. No hit/miss is
+    /// counted and no BFS runs, but this **is** the executed ball's one
+    /// demand sighting: the frequency sketch is bumped here (probes never
+    /// touch it), and the full [`AdmissionPolicy`] applies — size gates,
+    /// the frequency gate's second-sighting rule and the TinyLFU victim
+    /// comparison behave exactly as they would for an unbudgeted demand
+    /// miss, so a memory budget never weakens admission control.
     /// Policy/budget refusals count as `rejected_admissions` (globally
     /// and for `consumer`). A no-op when the key is already resident or
     /// in flight.
-    pub(crate) fn admit_extracted(
-        &self,
-        node: NodeId,
-        depth: u32,
-        sub: &Arc<Subgraph>,
-        consumer: Option<&CacheConsumer>,
-    ) {
-        let stored = self.store_ball(sub);
-        self.admit_stored(node, depth, stored, sub.num_nodes(), consumer);
-    }
-
-    /// As [`ConcurrentSubgraphCache::admit_extracted`] for a ball already
-    /// in a resident representation: the admission half of a budgeted
-    /// probe that was served **from the cold tier** (a decoded
-    /// [`CachedBall::Compact`] has no full [`Subgraph`] to re-compact).
-    /// Same sighting/policy/budget semantics.
-    pub(crate) fn admit_cached(
+    pub(crate) fn admit(
         &self,
         node: NodeId,
         depth: u32,
         ball: &CachedBall,
-        consumer: Option<&CacheConsumer>,
-    ) {
-        self.admit_stored(node, depth, ball.clone(), ball.num_nodes(), consumer);
-    }
-
-    fn admit_stored(
-        &self,
-        node: NodeId,
-        depth: u32,
-        stored: CachedBall,
-        nodes: usize,
-        consumer: Option<&CacheConsumer>,
+        consumer: &CacheConsumer,
     ) {
         let key = (node, depth);
         {
@@ -1968,6 +1471,10 @@ impl ConcurrentSubgraphCache {
                 return;
             }
         }
+        let stored = match ball {
+            CachedBall::Full(sub) => self.store_ball(sub),
+            CachedBall::Compact(_) => ball.clone(),
+        };
         let (seen_before, candidate_freq) = if !self.admission.needs_seen_tracking() {
             (true, u32::MAX)
         } else {
@@ -1975,13 +1482,11 @@ impl ConcurrentSubgraphCache {
             (count > 1, count)
         };
         let bytes = stored.memory_bytes_total();
-        let admitted = self.admission.size_gate(nodes, seen_before)
+        let admitted = self.admission.size_gate(ball.num_nodes(), seen_before)
             && self.reserve_residency(key, bytes, candidate_freq);
         if !admitted {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = consumer {
-                c.rejected.fetch_add(1, Ordering::Relaxed);
-            }
+            consumer.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -2007,34 +1512,18 @@ impl ConcurrentSubgraphCache {
         map.insert(key, entry);
     }
 
-    /// Pre-extracts the ball around `(node, depth)` **without counting a
-    /// lookup**: no hit, no miss, no consumer attribution — only the
-    /// physical `extractions` counter ticks when a BFS actually runs.
-    /// Warm-up therefore never deflates any observed hit rate (the bug
-    /// this method exists to fix: routing decisions fed by a rate that
-    /// warming had permanently dragged down).
+    /// Pre-extracts the ball around `(node, depth)` through `scratch`
+    /// **without counting a lookup**: no hit, no miss, no consumer
+    /// attribution — only the physical `extractions` counter ticks when
+    /// a BFS actually runs. Warm-up therefore never deflates any observed
+    /// hit rate (the bug this method exists to fix: routing decisions fed
+    /// by a rate that warming had permanently dragged down). Warming is
+    /// a BFS path: it never reads the cold tier.
     ///
     /// Warming respects a size budget in the [`AdmissionPolicy`] but
     /// bypasses the frequency gate — an explicit warm *is* the admission
-    /// decision. Already-resident and in-flight keys are left alone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph errors from extraction.
-    pub fn warm<G: GraphView + ?Sized>(&self, g: &G, node: NodeId, depth: u32) -> Result<()> {
-        self.lookup(g, node, depth, None, LookupMode::Warming, |g, _| {
-            let ball = bfs_ball(g, node, depth)?;
-            let sub = Subgraph::extract(g, &ball)?;
-            Ok(ExtractedBall::Fresh {
-                sub,
-                work: ball.edges_scanned,
-                fallback: false,
-            })
-        })
-        .map(|_| ())
-    }
-
-    /// As [`ConcurrentSubgraphCache::warm`], extracting through `scratch`.
+    /// decision. Already-resident and in-flight keys are left alone
+    /// (their recency is not bumped — warming is not demand).
     ///
     /// # Errors
     ///
@@ -2618,24 +2107,62 @@ mod tests {
     use super::*;
     use meloppr_graph::generators;
 
+    /// A demand lookup through throwaway scratch buffers, unwrapping the
+    /// full ball: every cache in these tests keeps the default
+    /// [`BallStore::Full`] and has no cold tier, so BFS-served balls are
+    /// always full.
+    pub(super) fn get<G: GraphView + ?Sized>(
+        cache: &ConcurrentSubgraphCache,
+        g: &G,
+        node: NodeId,
+        depth: u32,
+        consumer: &CacheConsumer,
+    ) -> Result<(Arc<Subgraph>, usize)> {
+        let (ball, work) = cache.get_ball_with_as(
+            g,
+            node,
+            depth,
+            &mut ExtractScratch::new(),
+            &mut Vec::new(),
+            consumer,
+        )?;
+        match ball {
+            CachedBall::Full(sub) => Ok((sub, work)),
+            CachedBall::Compact(_) => panic!("a BFS-served ball is full under BallStore::Full"),
+        }
+    }
+
+    /// As [`get`], attributed to a throwaway consumer (the tests that use
+    /// it read only the global counters).
+    pub(super) fn demand<G: GraphView + ?Sized>(
+        cache: &ConcurrentSubgraphCache,
+        g: &G,
+        node: NodeId,
+        depth: u32,
+    ) -> Result<(Arc<Subgraph>, usize)> {
+        get(cache, g, node, depth, &CacheConsumer::default())
+    }
+
     #[test]
     fn hit_returns_shared_arc() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(4);
-        let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
-        let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::new(4);
+        let consumer = CacheConsumer::default();
+        let (a, work_a) = get(&cache, &g, 0, 2, &consumer).unwrap();
+        let (b, work_b) = get(&cache, &g, 0, 2, &consumer).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let stats = consumer.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn different_depths_are_distinct_entries() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(4);
-        let a = cache.get_or_extract(&g, 0, 1).unwrap();
-        let b = cache.get_or_extract(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::new(4);
+        let (a, _) = demand(&cache, &g, 0, 1).unwrap();
+        let (b, _) = demand(&cache, &g, 0, 2).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
     }
@@ -2643,73 +2170,122 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_recent() {
         let g = generators::path(32).unwrap();
-        let mut cache = SubgraphCache::new(2);
-        cache.get_or_extract(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 1, 1).unwrap();
+        let cache = ConcurrentSubgraphCache::new(2);
+        let consumer = CacheConsumer::default();
+        get(&cache, &g, 0, 1, &consumer).unwrap();
+        get(&cache, &g, 1, 1, &consumer).unwrap();
         // Touch node 0 so node 1 becomes the LRU victim.
-        cache.get_or_extract(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 2, 1).unwrap(); // evicts (1, 1)
+        get(&cache, &g, 0, 1, &consumer).unwrap();
+        get(&cache, &g, 2, 1, &consumer).unwrap(); // evicts (1, 1)
         assert_eq!(cache.len(), 2);
-        let before = cache.misses();
-        cache.get_or_extract(&g, 0, 1).unwrap(); // still cached
-        assert_eq!(cache.misses(), before);
-        cache.get_or_extract(&g, 1, 1).unwrap(); // was evicted
-        assert_eq!(cache.misses(), before + 1);
+        let before = consumer.stats().misses;
+        get(&cache, &g, 0, 1, &consumer).unwrap(); // still cached
+        assert_eq!(consumer.stats().misses, before);
+        get(&cache, &g, 1, 1, &consumer).unwrap(); // was evicted
+        assert_eq!(consumer.stats().misses, before + 1);
+    }
+
+    /// The published keys resident in any shard, read without touching
+    /// recency.
+    fn resident_keys(cache: &ConcurrentSubgraphCache) -> Vec<CacheKey> {
+        let mut keys: Vec<CacheKey> = cache
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                cache
+                    .shard_read(shard)
+                    .iter()
+                    .filter(|(_, entry)| entry.published.get().is_some())
+                    .map(|(&key, _)| key)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
-    fn lru_ties_break_by_smallest_key() {
-        // Two entries with *equal* recency stamps cannot exist in the
-        // sequential cache (the clock ticks per lookup), but the ordering
-        // contract still holds: with distinct stamps the older entry goes;
-        // the key tie-break is exercised through the comparator directly.
-        let a = ((3u32, 1u32), 5u64);
-        let b = ((1u32, 1u32), 5u64);
-        let c = ((2u32, 1u32), 4u64);
-        let victim = [a, b, c]
-            .into_iter()
-            .min_by_key(|&(key, stamp)| (stamp, key));
-        assert_eq!(victim, Some(c)); // oldest stamp wins first…
-        let victim = [a, b].into_iter().min_by_key(|&(key, stamp)| (stamp, key));
-        assert_eq!(victim, Some(b)); // …then the smallest key
+    fn single_threaded_eviction_is_strict_lru_across_shards() {
+        // One global clock stamps the entries of every shard, and
+        // eviction heapifies the residents of all shards, so a single
+        // thread sees strict LRU order even when the residents live in
+        // different shards.
+        let g = generators::path(64).unwrap();
+        let cache = ConcurrentSubgraphCache::with_shards(4, 16);
+        assert_eq!(cache.shard_count(), 16);
+        let residents = [10u32, 11, 12, 13];
+        let shards: std::collections::BTreeSet<usize> = residents
+            .iter()
+            .filter_map(|&node| {
+                let shard = cache.shard_for((node, 1));
+                cache.shards.iter().position(|s| std::ptr::eq(s, shard))
+            })
+            .collect();
+        assert!(
+            shards.len() >= 3,
+            "residents must spread over shards: {shards:?}"
+        );
+        for node in residents {
+            demand(&cache, &g, node, 1).unwrap();
+        }
+        // Re-touch two residents: LRU order is now 12, 13, 11, 10.
+        demand(&cache, &g, 11, 1).unwrap();
+        demand(&cache, &g, 10, 1).unwrap();
+        let mut evicted = Vec::new();
+        for node in [20u32, 21, 22, 23] {
+            let before = resident_keys(&cache);
+            demand(&cache, &g, node, 1).unwrap();
+            let after = resident_keys(&cache);
+            let gone: Vec<CacheKey> = before.into_iter().filter(|k| !after.contains(k)).collect();
+            assert_eq!(gone.len(), 1, "one admission evicts one resident");
+            evicted.push(gone[0].0);
+        }
+        assert_eq!(evicted, vec![12, 13, 11, 10]);
+        assert_eq!(cache.stats().evictions, 4);
+        assert_eq!(
+            resident_keys(&cache),
+            vec![(20, 1), (21, 1), (22, 1), (23, 1)]
+        );
     }
 
     #[test]
     fn resident_bytes_and_clear() {
         let g = generators::karate_club();
-        let mut cache = SubgraphCache::new(8);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        let cache = ConcurrentSubgraphCache::new(8);
+        let consumer = CacheConsumer::default();
+        get(&cache, &g, 0, 2, &consumer).unwrap();
         assert!(cache.resident_bytes() > 0);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 1); // stats survive clear
+        assert_eq!(consumer.stats().misses, 1); // stats survive clear
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = SubgraphCache::new(0);
+        let _ = ConcurrentSubgraphCache::with_budget(CacheBudget::entries(0));
     }
 
     #[test]
     fn errors_propagate() {
         let g = generators::path(3).unwrap();
-        let mut cache = SubgraphCache::new(2);
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
+        let cache = ConcurrentSubgraphCache::new(2);
+        assert!(demand(&cache, &g, 99, 1).is_err());
     }
 }
 
 #[cfg(test)]
 mod concurrent_tests {
+    use super::tests::{demand, get};
     use super::*;
-    use meloppr_graph::generators;
+    use meloppr_graph::{bfs_ball, generators};
 
     #[test]
     fn concurrent_hits_share_one_extraction() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(16);
-        let (a, work_a) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
-        let (b, work_b) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (a, work_a) = demand(&cache, &g, 0, 2).unwrap();
+        let (b, work_b) = demand(&cache, &g, 0, 2).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
@@ -2724,8 +2300,8 @@ mod concurrent_tests {
         let g = generators::grid(7, 5).unwrap();
         let cache = ConcurrentSubgraphCache::new(8);
         for (seed, depth) in [(0u32, 2), (17, 3), (34, 1), (5, 0)] {
-            let cached = cache.get_or_extract(&g, seed, depth).unwrap();
-            let ball = meloppr_graph::bfs_ball(&g, seed, depth).unwrap();
+            let (cached, _) = demand(&cache, &g, seed, depth).unwrap();
+            let ball = bfs_ball(&g, seed, depth).unwrap();
             let fresh = Subgraph::extract(&g, &ball).unwrap();
             assert_eq!(cached.global_ids(), fresh.global_ids());
             assert_eq!(cached.num_edges(), fresh.num_edges());
@@ -2738,16 +2314,24 @@ mod concurrent_tests {
 
     #[test]
     fn scratch_extraction_matches_plain() {
+        // One reused scratch against a fresh scratch per lookup: the same
+        // balls, the same BFS work as a plain `bfs_ball`, the same counters.
         let g = generators::grid(6, 6).unwrap();
         let plain = ConcurrentSubgraphCache::new(8);
         let scratched = ConcurrentSubgraphCache::new(8);
+        let consumer = CacheConsumer::default();
         let mut scratch = ExtractScratch::new();
+        let mut cold_buf = Vec::new();
         for (seed, depth) in [(14u32, 2), (0, 1), (35, 3)] {
-            let (a, wa) = plain.get_or_extract_counted(&g, seed, depth).unwrap();
-            let (b, wb) = scratched
-                .get_or_extract_with(&g, seed, depth, &mut scratch)
-                .unwrap();
+            let (a, wa) = demand(&plain, &g, seed, depth).unwrap();
+            let (CachedBall::Full(b), wb) = scratched
+                .get_ball_with_as(&g, seed, depth, &mut scratch, &mut cold_buf, &consumer)
+                .unwrap()
+            else {
+                panic!("a BFS-served ball is full under BallStore::Full");
+            };
             assert_eq!(wa, wb);
+            assert_eq!(wa, bfs_ball(&g, seed, depth).unwrap().edges_scanned);
             assert_eq!(a.global_ids(), b.global_ids());
             assert_eq!(a.num_edges(), b.num_edges());
         }
@@ -2760,14 +2344,14 @@ mod concurrent_tests {
         // One shard so the capacity bound is exact.
         let cache = ConcurrentSubgraphCache::with_shards(4, 1);
         for seed in 0..8u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            demand(&cache, &g, seed, 1).unwrap();
         }
         assert!(cache.len() <= 4);
         let stats = cache.stats();
         assert_eq!(stats.extractions, 8);
         assert_eq!(stats.evictions, 4);
         // The most recent entry survived.
-        cache.get_or_extract(&g, 7, 1).unwrap();
+        demand(&cache, &g, 7, 1).unwrap();
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -2775,12 +2359,12 @@ mod concurrent_tests {
     fn errors_propagate_and_leave_no_residue() {
         let g = generators::path(3).unwrap();
         let cache = ConcurrentSubgraphCache::new(4);
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
+        assert!(demand(&cache, &g, 99, 1).is_err());
         assert!(cache.is_empty());
         // The failed key is re-attempted (and fails again) rather than
         // poisoning the cache.
-        assert!(cache.get_or_extract(&g, 99, 1).is_err());
-        let ok = cache.get_or_extract(&g, 1, 1);
+        assert!(demand(&cache, &g, 99, 1).is_err());
+        let ok = demand(&cache, &g, 1, 1);
         assert!(ok.is_ok());
     }
 
@@ -2788,12 +2372,12 @@ mod concurrent_tests {
     fn clear_keeps_stats_and_stays_usable() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(8);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        demand(&cache, &g, 0, 2).unwrap();
         assert!(cache.resident_bytes() > 0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().extractions, 1);
-        cache.get_or_extract(&g, 0, 2).unwrap();
+        demand(&cache, &g, 0, 2).unwrap();
         assert_eq!(cache.stats().extractions, 2);
     }
 
@@ -2807,7 +2391,7 @@ mod concurrent_tests {
     fn shard_count_clamped_and_reported() {
         let cache = ConcurrentSubgraphCache::new(4);
         assert_eq!(cache.shard_count(), 4);
-        assert_eq!(cache.capacity(), 4);
+        assert_eq!(cache.budget().entries, Some(4));
         let wide = ConcurrentSubgraphCache::with_shards(1024, 32);
         assert_eq!(wide.shard_count(), 32);
         assert!(format!("{wide:?}").contains("ConcurrentSubgraphCache"));
@@ -2821,17 +2405,17 @@ mod concurrent_tests {
         let b = CacheConsumer::new(16);
         // Consumer A: 4 distinct misses + 4 repeat hits.
         for seed in 0..4u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &a).unwrap();
+            get(&cache, &g, seed, 1, &a).unwrap();
         }
         for seed in 0..4u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &a).unwrap();
+            get(&cache, &g, seed, 1, &a).unwrap();
         }
         // Consumer B: 2 hits on A's entries + 2 fresh misses.
         for seed in 0..2u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &b).unwrap();
+            get(&cache, &g, seed, 1, &b).unwrap();
         }
         for seed in 10..12u32 {
-            cache.get_or_extract_counted_as(&g, seed, 1, &b).unwrap();
+            get(&cache, &g, seed, 1, &b).unwrap();
         }
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!((sa.hits, sa.misses, sa.extractions), (4, 4, 4));
@@ -2849,13 +2433,8 @@ mod concurrent_tests {
         let consumer = CacheConsumer::new(16);
         // Warm phase: one hot key looked up far beyond the window, so the
         // cumulative rate climbs towards 1.
-        cache
-            .get_or_extract_counted_as(&g, 0, 1, &consumer)
-            .unwrap();
-        for _ in 0..63 {
-            cache
-                .get_or_extract_counted_as(&g, 0, 1, &consumer)
-                .unwrap();
+        for _ in 0..64 {
+            get(&cache, &g, 0, 1, &consumer).unwrap();
         }
         let stale_cumulative = consumer.stats().hit_rate();
         assert!(stale_cumulative > 0.9);
@@ -2864,9 +2443,7 @@ mod concurrent_tests {
         // window must converge to the new all-miss regime within one
         // window while the cumulative rate stays stale.
         for seed in 100..116u32 {
-            cache
-                .get_or_extract_counted_as(&g, seed, 1, &consumer)
-                .unwrap();
+            get(&cache, &g, seed, 1, &consumer).unwrap();
         }
         assert_eq!(consumer.windowed_hit_rate(), 0.0);
         assert!(consumer.stats().hit_rate() > 0.7, "cumulative stays stale");
@@ -2946,16 +2523,15 @@ mod concurrent_tests {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(16);
         let consumer = CacheConsumer::new(8);
-        cache.warm(&g, 0, 2).unwrap();
-        cache.warm(&g, 0, 2).unwrap(); // idempotent, no second extraction
+        let mut scratch = ExtractScratch::new();
+        cache.warm_with(&g, 0, 2, &mut scratch).unwrap();
+        cache.warm_with(&g, 0, 2, &mut scratch).unwrap(); // idempotent, no second extraction
         let warmed = cache.stats();
         assert_eq!(warmed.extractions, 1);
         assert_eq!(warmed.lookups(), 0);
         // The first demand lookup is a hit — warming did its job without
         // polluting the hit rate.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 0, 2, &consumer)
-            .unwrap();
+        let (_, work) = get(&cache, &g, 0, 2, &consumer).unwrap();
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         assert_eq!(consumer.stats().misses, 0);
@@ -2966,15 +2542,17 @@ mod concurrent_tests {
     fn warm_does_not_refresh_recency_of_resident_entries() {
         let g = generators::path(32).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(2, 1);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // A (oldest demand)
-        cache.get_or_extract(&g, 1, 1).unwrap(); // B
-                                                 // Re-warming A is not demand: it must NOT refresh A's recency.
-        cache.warm(&g, 0, 1).unwrap();
-        cache.get_or_extract(&g, 2, 1).unwrap(); // evicts A, not B
+        demand(&cache, &g, 0, 1).unwrap(); // A (oldest demand)
+        demand(&cache, &g, 1, 1).unwrap(); // B
+                                           // Re-warming A is not demand: it must NOT refresh A's recency.
+        cache
+            .warm_with(&g, 0, 1, &mut ExtractScratch::new())
+            .unwrap();
+        demand(&cache, &g, 2, 1).unwrap(); // evicts A, not B
         let before = cache.stats().misses;
-        cache.get_or_extract(&g, 1, 1).unwrap(); // B survived
+        demand(&cache, &g, 1, 1).unwrap(); // B survived
         assert_eq!(cache.stats().misses, before);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // A was the victim
+        demand(&cache, &g, 0, 1).unwrap(); // A was the victim
         assert_eq!(cache.stats().misses, before + 1);
     }
 
@@ -2986,13 +2564,9 @@ mod concurrent_tests {
             ConcurrentSubgraphCache::with_shards(8, 1).with_admission(AdmissionPolicy::MaxNodes(4));
         assert_eq!(cache.admission(), AdmissionPolicy::MaxNodes(4));
         let consumer = CacheConsumer::new(8);
-        let small = cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        let small = get(&cache, &g, 0, 0, &consumer).unwrap();
         assert_eq!(small.0.num_nodes(), 1);
-        let big = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let big = get(&cache, &g, 27, 3, &consumer).unwrap();
         assert!(big.0.num_nodes() > 4, "grid ball should exceed the budget");
         assert!(big.1 > 0, "rejected balls are still served (and paid for)");
         // Only the small ball is resident; the big one was rejected.
@@ -3001,12 +2575,8 @@ mod concurrent_tests {
         assert_eq!(consumer.stats().rejected_admissions, 1);
         // The big ball misses again; the small one still hits (the
         // rejected ball evicted nothing).
-        cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
-        cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        get(&cache, &g, 27, 3, &consumer).unwrap();
+        get(&cache, &g, 0, 0, &consumer).unwrap();
         let stats = consumer.stats();
         assert_eq!(stats.misses, 3); // small, big, big-again
         assert_eq!(stats.hits, 1); // small-again
@@ -3020,27 +2590,19 @@ mod concurrent_tests {
             .with_admission(AdmissionPolicy::FrequencyGated(4));
         let consumer = CacheConsumer::new(8);
         // First sighting of a big ball: extracted, served, rejected.
-        cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        get(&cache, &g, 27, 3, &consumer).unwrap();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().rejected_admissions, 1);
         // Second sighting: the key has proven demand, so it is admitted.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let (_, work) = get(&cache, &g, 27, 3, &consumer).unwrap();
         assert!(work > 0);
         assert_eq!(cache.len(), 1);
         // Third lookup is a hit.
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, 27, 3, &consumer)
-            .unwrap();
+        let (_, work) = get(&cache, &g, 27, 3, &consumer).unwrap();
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         // Small balls are admitted immediately regardless of frequency.
-        cache
-            .get_or_extract_counted_as(&g, 0, 0, &consumer)
-            .unwrap();
+        get(&cache, &g, 0, 0, &consumer).unwrap();
         assert_eq!(cache.len(), 2);
     }
 
@@ -3094,21 +2656,21 @@ mod concurrent_tests {
             .total();
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::bytes(2 * one), 1);
         assert_eq!(cache.budget(), CacheBudget::bytes(2 * one));
-        cache.get_or_extract(&g, 10, 1).unwrap();
-        cache.get_or_extract(&g, 20, 1).unwrap();
+        demand(&cache, &g, 10, 1).unwrap();
+        demand(&cache, &g, 20, 1).unwrap();
         assert_eq!(cache.resident_bytes(), 2 * one);
         assert_eq!(cache.stats().evictions, 0);
         // The third ball fits only after evicting the LRU first.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        demand(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.resident_bytes(), 2 * one);
         assert_eq!(cache.resident_bytes_exact(), 2 * one);
         assert_eq!(cache.stats().evictions, 1);
         // Key 10 was the victim; 20 and 30 still hit.
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 20, 1).unwrap();
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        demand(&cache, &g, 20, 1).unwrap();
+        demand(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().misses, misses);
-        cache.get_or_extract(&g, 10, 1).unwrap();
+        demand(&cache, &g, 10, 1).unwrap();
         assert_eq!(cache.stats().misses, misses + 1);
     }
 
@@ -3117,7 +2679,7 @@ mod concurrent_tests {
         let g = generators::grid(8, 8).unwrap();
         // Budget far below any depth-2 grid ball.
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::bytes(64), 1);
-        let (sub, work) = cache.get_or_extract_counted(&g, 27, 2).unwrap();
+        let (sub, work) = demand(&cache, &g, 27, 2).unwrap();
         assert!(sub.num_nodes() > 1);
         assert!(work > 0, "rejected balls are still served");
         assert_eq!(cache.resident_bytes(), 0);
@@ -3139,7 +2701,7 @@ mod concurrent_tests {
             1,
         );
         for seed in [10u32, 20, 30, 40] {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            demand(&cache, &g, seed, 1).unwrap();
         }
         assert_eq!(cache.resident_entries(), 2);
         assert_eq!(cache.resident_bytes(), 2 * one);
@@ -3152,27 +2714,27 @@ mod concurrent_tests {
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::entries(2), 1)
             .with_admission(AdmissionPolicy::FrequencyVsVictim);
         // While under budget, everything is admitted.
-        cache.get_or_extract(&g, 10, 1).unwrap(); // freq(10) = 1
-        cache.get_or_extract(&g, 20, 1).unwrap(); // freq(20) = 1
-        cache.get_or_extract(&g, 20, 1).unwrap(); // hit, freq unchanged
+        demand(&cache, &g, 10, 1).unwrap(); // freq(10) = 1
+        demand(&cache, &g, 20, 1).unwrap(); // freq(20) = 1
+        demand(&cache, &g, 20, 1).unwrap(); // hit, freq unchanged
         assert_eq!(cache.len(), 2);
         // A cold candidate (freq 1) does not beat the LRU victim
         // (key 10, freq 1): rejected, nothing evicted.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        demand(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().rejected_admissions, 1);
         assert_eq!(cache.stats().evictions, 0);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 10, 1).unwrap(); // still resident
+        demand(&cache, &g, 10, 1).unwrap(); // still resident
         assert_eq!(cache.stats().misses, misses);
         // The second sighting of key 30 (sketch count 2) beats the LRU
         // victim (key 20 — demanded once; hits are not sketch
         // sightings, so its count stayed 1): admitted, 20 evicted.
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        demand(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 30, 1).unwrap();
+        demand(&cache, &g, 30, 1).unwrap();
         assert_eq!(cache.stats().misses, misses, "admitted ball must hit");
     }
 
@@ -3196,15 +2758,15 @@ mod concurrent_tests {
         // (with a clear between, so both demands are misses), the cold
         // key once. Residents afterwards: cold (LRU, freq 1), hot
         // (freq 2); the byte budget is exactly full.
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot, freq 1
+        demand(&cache, &g, 30, 1).unwrap(); // hot, freq 1
         cache.clear();
-        cache.get_or_extract(&g, 10, 1).unwrap(); // cold, freq 1
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot again, freq 2
+        demand(&cache, &g, 10, 1).unwrap(); // cold, freq 1
+        demand(&cache, &g, 30, 1).unwrap(); // hot again, freq 2
         assert_eq!(cache.resident_bytes(), 2 * small);
 
         // First sighting of the big candidate (freq 1): the LRU victim
         // (cold, freq 1) already ties it — rejected, nothing evicted.
-        cache.get_or_extract(&g, 50, 2).unwrap();
+        demand(&cache, &g, 50, 2).unwrap();
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().rejected_admissions, 1);
         // Second sighting (freq 2): the victim PLAN is [cold, hot]; the
@@ -3213,25 +2775,29 @@ mod concurrent_tests {
         // eviction — the old incremental loop evicted the cold resident
         // first and then rejected, costing an admitted entry for
         // nothing.
-        cache.get_or_extract(&g, 50, 2).unwrap();
+        demand(&cache, &g, 50, 2).unwrap();
         assert_eq!(cache.stats().evictions, 0, "rejection must evict nothing");
         assert_eq!(cache.resident_bytes(), 2 * small);
         let misses = cache.stats().misses;
-        cache.get_or_extract(&g, 10, 1).unwrap(); // cold resident intact
-        cache.get_or_extract(&g, 30, 1).unwrap(); // hot resident intact
+        demand(&cache, &g, 10, 1).unwrap(); // cold resident intact
+        demand(&cache, &g, 30, 1).unwrap(); // hot resident intact
         assert_eq!(cache.stats().misses, misses);
     }
 
     #[test]
-    fn budget_probe_serves_without_admitting_and_admit_extracted_publishes() {
+    fn budget_probe_serves_without_admitting_and_admit_publishes() {
         let g = generators::path(64).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(8, 1);
         let consumer = CacheConsumer::new(8);
         let mut scratch = ExtractScratch::new();
+        let mut cold_buf = Vec::new();
         // A probe miss extracts and counts, but nothing becomes resident.
-        let (sub, work) = cache
-            .probe_or_extract_with_as(&g, 10, 2, &mut scratch, &consumer)
+        let (ball, work) = cache
+            .probe_ball_with_as(&g, 10, 2, &mut scratch, &mut cold_buf, &consumer)
             .unwrap();
+        let CachedBall::Full(sub) = &ball else {
+            panic!("a BFS-served ball is full");
+        };
         assert!(work > 0);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.resident_bytes(), 0);
@@ -3239,19 +2805,22 @@ mod concurrent_tests {
         assert_eq!(consumer.stats().extractions, 1);
         assert_eq!(cache.stats().rejected_admissions, 0, "not a rejection");
         // Explicit admission makes it resident without a lookup or BFS.
-        cache.admit_extracted(10, 2, &sub, Some(&consumer));
+        cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.resident_bytes(), sub.memory_bytes().total());
         assert_eq!(cache.stats().extractions, 1);
         // The admitted ball now hits — for probes and demand alike.
         let (again, work) = cache
-            .probe_or_extract_with_as(&g, 10, 2, &mut scratch, &consumer)
+            .probe_ball_with_as(&g, 10, 2, &mut scratch, &mut cold_buf, &consumer)
             .unwrap();
-        assert!(Arc::ptr_eq(&sub, &again));
+        let CachedBall::Full(again) = again else {
+            panic!("a full resident is served full");
+        };
+        assert!(Arc::ptr_eq(sub, &again));
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         // Re-admitting is a no-op.
-        cache.admit_extracted(10, 2, &sub, Some(&consumer));
+        cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
     }
 
@@ -3263,7 +2832,7 @@ mod concurrent_tests {
         let g = generators::path(512).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(16, 8);
         for seed in 0..128u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            demand(&cache, &g, seed, 1).unwrap();
         }
         assert_eq!(cache.resident_entries(), 16);
         assert!(cache.len() <= 16);
@@ -3272,32 +2841,37 @@ mod concurrent_tests {
     }
 
     #[test]
-    fn owned_cache_window_and_warm() {
+    fn consumer_window_and_warm() {
         let g = generators::path(32).unwrap();
-        let mut cache = SubgraphCache::with_window(8, 4);
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.warm(&g, 0, 1).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        let cache = ConcurrentSubgraphCache::new(8);
+        let consumer = CacheConsumer::new(4);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        cache
+            .warm_with(&g, 0, 1, &mut ExtractScratch::new())
+            .unwrap();
+        assert_eq!((consumer.stats().hits, consumer.stats().misses), (0, 0));
         assert_eq!(cache.len(), 1);
-        cache.get_or_extract(&g, 0, 1).unwrap(); // hit on the warmed ball
-        assert_eq!(cache.hits(), 1);
-        assert!((cache.recent_hit_rate() - 1.0).abs() < 1e-12);
+        get(&cache, &g, 0, 1, &consumer).unwrap(); // hit on the warmed ball
+        assert_eq!(consumer.stats().hits, 1);
+        assert!((consumer.windowed_hit_rate() - 1.0).abs() < 1e-12);
         // Four misses roll the hit out of the 4-lookup window.
         for seed in 10..14u32 {
-            cache.get_or_extract(&g, seed, 1).unwrap();
+            get(&cache, &g, seed, 1, &consumer).unwrap();
         }
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.set_window(2);
-        assert_eq!(cache.recent_hit_rate(), 0.0);
-        cache.get_or_extract(&g, 13, 1).unwrap();
-        assert!((cache.recent_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        // A new window (what `Meloppr::with_cache_window` installs)
+        // starts empty and fills from the next lookup.
+        let consumer = CacheConsumer::new(2);
+        assert_eq!(consumer.windowed_hit_rate(), 0.0);
+        get(&cache, &g, 13, 1, &consumer).unwrap();
+        assert!((consumer.windowed_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn poisoned_shard_recovers_clear_and_continue() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(8);
-        let (first, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (first, work) = demand(&cache, &g, 0, 2).unwrap();
         assert!(work > 0);
         // Poison the shard holding (0, 2) by panicking while its write
         // lock is held — the worst-case co-tenant failure.
@@ -3311,7 +2885,7 @@ mod concurrent_tests {
         // The next lookup recovers clear-and-continue: the shard's
         // residents were dropped (budget released), the lookup
         // re-extracts, and the recovery is counted.
-        let (second, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (second, work) = demand(&cache, &g, 0, 2).unwrap();
         assert!(work > 0, "cleared shard must re-extract");
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(cache.poison_recoveries(), 1);
@@ -3319,7 +2893,7 @@ mod concurrent_tests {
         // Accounting stayed exact through the clear.
         assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
         // And the cache keeps serving: a re-hit shares the new resident.
-        let (third, work) = cache.get_or_extract_counted(&g, 0, 2).unwrap();
+        let (third, work) = demand(&cache, &g, 0, 2).unwrap();
         assert!(Arc::ptr_eq(&second, &third));
         assert_eq!(work, 0);
     }
@@ -3341,7 +2915,7 @@ mod concurrent_tests {
         }));
         assert!(unwound.is_err());
         // No deadlock and no stranded entry: the key extracts fresh.
-        let (ball, work) = cache.get_or_extract_counted(&g, 7, 2).unwrap();
+        let (ball, work) = demand(&cache, &g, 7, 2).unwrap();
         assert!(work > 0);
         assert!(ball.num_nodes() > 0);
         assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
@@ -3351,7 +2925,9 @@ mod concurrent_tests {
 #[cfg(test)]
 mod engine_integration_tests {
     use super::*;
-    use crate::{MelopprEngine, MelopprParams, PprParams, SelectionStrategy};
+    use crate::meloppr::staged_query_impl;
+    use crate::quantized::PrecisionClass;
+    use crate::{MelopprEngine, MelopprParams, PprParams, QueryWorkspace, SelectionStrategy};
     use meloppr_graph::generators::corpus::PaperGraph;
 
     #[test]
@@ -3363,22 +2939,35 @@ mod engine_integration_tests {
             selection: SelectionStrategy::TopFraction(0.1),
             ..MelopprParams::paper_defaults()
         };
-        let engine = MelopprEngine::new(&g, params).unwrap();
-        let mut cache = SubgraphCache::new(512);
+        let engine = MelopprEngine::new(&g, params.clone()).unwrap();
+        let cache = ConcurrentSubgraphCache::new(512);
+        let consumer = CacheConsumer::default();
+        let cached = |seed| {
+            staged_query_impl(
+                &g,
+                &params,
+                seed,
+                PrecisionClass::Exact64,
+                Some((&cache, &consumer)),
+                None,
+                &mut QueryWorkspace::new(),
+            )
+            .unwrap()
+        };
 
         let plain = engine.query(7).unwrap();
-        let first = engine.query_cached_impl(7, &mut cache).unwrap();
+        let first = cached(7);
         assert_eq!(first.ranking, plain.ranking);
         assert_eq!(first.stats.bfs_edges_scanned, plain.stats.bfs_edges_scanned);
 
         // Second identical query: all sub-graphs served from cache.
-        let second = engine.query_cached_impl(7, &mut cache).unwrap();
+        let second = cached(7);
         assert_eq!(second.ranking, plain.ranking);
         assert_eq!(second.stats.bfs_edges_scanned, 0);
-        assert!(cache.hits() >= plain.stats.total_diffusions);
+        assert!(consumer.stats().hits as usize >= plain.stats.total_diffusions);
 
         // A nearby query shares hub sub-graphs: strictly less BFS work.
-        let third = engine.query_cached_impl(8, &mut cache).unwrap();
+        let third = cached(8);
         let fresh = engine.query(8).unwrap();
         assert_eq!(third.ranking, fresh.ranking);
         assert!(third.stats.bfs_edges_scanned <= fresh.stats.bfs_edges_scanned);

@@ -28,8 +28,7 @@
 //!   cache shared by all batch workers so hot balls in skewed traffic
 //!   are extracted once and reused zero-copy (attach with
 //!   [`backend::Meloppr::with_shared_cache`]), governed by a
-//!   byte-and/or-entry [`CacheBudget`] that is never exceeded; plus the
-//!   single-threaded [`SubgraphCache`] facade over the same core;
+//!   byte-and/or-entry [`CacheBudget`] that is never exceeded;
 //! * [`ballindex`] — the disk half of the two-tier ball store: an
 //!   offline-built, CRC-checksummed per-node ball index
 //!   ([`build_index`]) that the cache's cold tier
@@ -191,7 +190,7 @@ pub use backend::{
 pub use ballindex::{build_index, BallIndex, IndexBuildReport};
 pub use cache::{
     AdmissionPolicy, BallStore, CacheBudget, CacheConsumer, CacheStats, CachedBall,
-    ConcurrentSubgraphCache, ConsumerStats, SubgraphCache,
+    ConcurrentSubgraphCache, ConsumerStats,
 };
 pub use diffusion::{
     diffuse, diffuse_from_seed, diffuse_into, DiffusionConfig, DiffusionOutput, DiffusionScratch,

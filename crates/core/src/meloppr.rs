@@ -22,13 +22,13 @@
 
 use meloppr_graph::{bfs_ball, GraphView, NodeId, Subgraph};
 
-use crate::cache::CachedBall;
+use crate::cache::{CacheConsumer, CachedBall, ConcurrentSubgraphCache};
 use crate::diffusion::{DiffusionConfig, DiffusionScratch};
 use crate::error::Result;
 use crate::global_table::GlobalScoreTable;
 use crate::memory::{cpu_task_memory_width, meloppr_cpu_peak, meloppr_fpga_peak, CpuTaskMemory};
 use crate::params::{MelopprParams, ResidualPolicy};
-use crate::quantized::{diffuse_ball, BallRef, CompactBall, PrecisionClass, QuantScratchSet};
+use crate::quantized::{diffuse_ball, BallRef, PrecisionClass, QuantScratchSet};
 use crate::score_vec::Ranking;
 use crate::workspace::QueryWorkspace;
 
@@ -190,9 +190,8 @@ pub(crate) fn execute_task<G: GraphView + ?Sized>(
 }
 
 /// The diffusion/selection half of [`execute_task`], operating on an
-/// already-extracted sub-graph (possibly served from a
-/// [`SubgraphCache`](crate::cache::SubgraphCache), in which case
-/// `bfs_edges_scanned` should be 0 — the whole point of caching).
+/// already-extracted sub-graph (`bfs_edges_scanned` is the BFS work its
+/// extraction cost).
 ///
 /// Allocating wrapper over [`execute_task_on_with`] for callers without a
 /// workspace (the parallel executor needs owned per-task outputs anyway).
@@ -647,28 +646,9 @@ impl<'g, G: GraphView + ?Sized> MelopprEngine<'g, G> {
             &self.params,
             seed,
             PrecisionClass::Exact64,
-            BallSource::Fresh,
+            None,
             None,
             ws,
-        )
-    }
-
-    /// Cached-extraction reference query, pinned against the backend's
-    /// cached mode by the cache integration tests.
-    #[cfg(test)]
-    pub(crate) fn query_cached_impl(
-        &self,
-        seed: NodeId,
-        cache: &mut crate::cache::SubgraphCache,
-    ) -> Result<MelopprOutcome> {
-        staged_query_impl(
-            self.graph,
-            &self.params,
-            seed,
-            PrecisionClass::Exact64,
-            BallSource::Owned(cache),
-            None,
-            &mut QueryWorkspace::new(),
         )
     }
 }
@@ -685,20 +665,12 @@ pub(crate) struct MemoryBudget {
 }
 
 /// Where the staged loop gets its sub-graph balls from — the one
-/// extraction seam shared by the fresh, owned-cache and shared-cache
-/// execution modes (one loop, one budget gate, three ball sources).
-pub(crate) enum BallSource<'c> {
-    /// Extract every ball fresh through the workspace scratch.
-    Fresh,
-    /// Serve balls from (and populate) an owned [`SubgraphCache`].
-    Owned(&'c mut crate::cache::SubgraphCache),
-    /// Serve balls from a [`ConcurrentSubgraphCache`] shared across
-    /// workers, attributing every lookup to `consumer`.
-    Shared {
-        cache: &'c crate::cache::ConcurrentSubgraphCache,
-        consumer: &'c crate::cache::CacheConsumer,
-    },
-}
+/// extraction seam of the two execution modes (one loop, one budget
+/// gate, two ball sources). `None` extracts every ball fresh into the
+/// workspace scratch, borrowing it without allocating; `Some` serves
+/// balls from (and populates) a cache shared across workers, attributing
+/// every lookup to the consumer.
+pub(crate) type BallSource<'c> = Option<(&'c ConcurrentSubgraphCache, &'c CacheConsumer)>;
 
 /// A ball handed to one task: borrowed from the extraction scratch
 /// (fresh mode) or shared zero-copy out of a cache — in either resident
@@ -707,23 +679,15 @@ pub(crate) enum BallSource<'c> {
 /// tier served it).
 enum Ball<'a> {
     Borrowed(&'a Subgraph),
-    Cached(std::sync::Arc<Subgraph>),
-    CachedCompact(std::sync::Arc<CompactBall>),
+    Cached(CachedBall),
 }
 
 impl Ball<'_> {
-    fn from_cached(ball: CachedBall) -> Self {
-        match ball {
-            CachedBall::Full(sub) => Ball::Cached(sub),
-            CachedBall::Compact(compact) => Ball::CachedCompact(compact),
-        }
-    }
-
     fn as_ref(&self) -> BallRef<'_> {
         match self {
             Ball::Borrowed(sub) => BallRef::Full(sub),
-            Ball::Cached(sub) => BallRef::Full(sub),
-            Ball::CachedCompact(ball) => BallRef::Compact(ball),
+            Ball::Cached(CachedBall::Full(sub)) => BallRef::Full(sub),
+            Ball::Cached(CachedBall::Compact(ball)) => BallRef::Compact(ball),
         }
     }
 
@@ -737,9 +701,9 @@ impl Ball<'_> {
 }
 
 /// The staged query loop over workspace-owned storage: the engine behind
-/// [`MelopprEngine::query_with`] and every execution mode of
+/// [`MelopprEngine::query_with`] and both sequential execution modes of
 /// [`backend::Meloppr`](crate::backend::Meloppr) (the ball source is the
-/// only difference between fresh, owned-cache and shared-cache serving).
+/// only difference between fresh and cached serving).
 ///
 /// # Memory-budget enforcement
 ///
@@ -769,7 +733,7 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
     params: &MelopprParams,
     seed: NodeId,
     class: PrecisionClass,
-    mut source: BallSource<'_>,
+    source: BallSource<'_>,
     budget: Option<&MemoryBudget>,
     ws: &mut QueryWorkspace,
 ) -> Result<MelopprOutcome> {
@@ -830,20 +794,12 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                 // residents. The depth that actually executes is
                 // admitted explicitly below. Resident keys still hit for
                 // free either way.
-                let (sub, bfs_work): (Ball<'_>, usize) = match &mut source {
-                    BallSource::Fresh => {
+                let (sub, bfs_work): (Ball<'_>, usize) = match source {
+                    None => {
                         let (sub, work) = extract.extract(graph, piece.node, depth)?;
                         (Ball::Borrowed(sub), work)
                     }
-                    BallSource::Owned(cache) => {
-                        let (ball, work) = if budgeted {
-                            cache.probe_ball_with(graph, piece.node, depth, extract, cold_buf)?
-                        } else {
-                            cache.get_ball_with(graph, piece.node, depth, extract, cold_buf)?
-                        };
-                        (Ball::from_cached(ball), work)
-                    }
-                    BallSource::Shared { cache, consumer } => {
+                    Some((cache, consumer)) => {
                         let (ball, work) = if budgeted {
                             cache.probe_ball_with_as(
                                 graph, piece.node, depth, extract, cold_buf, consumer,
@@ -853,7 +809,7 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                                 graph, piece.node, depth, extract, cold_buf, consumer,
                             )?
                         };
-                        (Ball::from_cached(ball), work)
+                        (Ball::Cached(ball), work)
                     }
                 };
                 if let Some(plan) = budget {
@@ -886,29 +842,8 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                     }
                 }
                 if budgeted {
-                    match &sub {
-                        Ball::Cached(ball) => match &mut source {
-                            BallSource::Fresh => {}
-                            BallSource::Owned(cache) => {
-                                cache.admit_extracted(piece.node, depth, ball)
-                            }
-                            BallSource::Shared { cache, consumer } => {
-                                cache.admit_extracted(piece.node, depth, ball, Some(consumer))
-                            }
-                        },
-                        Ball::CachedCompact(ball) => {
-                            let cached = CachedBall::Compact(std::sync::Arc::clone(ball));
-                            match &mut source {
-                                BallSource::Fresh => {}
-                                BallSource::Owned(cache) => {
-                                    cache.admit_cached(piece.node, depth, &cached)
-                                }
-                                BallSource::Shared { cache, consumer } => {
-                                    cache.admit_cached(piece.node, depth, &cached, Some(consumer))
-                                }
-                            }
-                        }
-                        Ball::Borrowed(_) => {}
+                    if let (Some((cache, consumer)), Ball::Cached(ball)) = (source, &sub) {
+                        cache.admit(piece.node, depth, ball, consumer);
                     }
                 }
                 // Chaos seam: a fault here models the diffusion stage

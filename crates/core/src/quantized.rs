@@ -565,31 +565,6 @@ impl CompactBall {
         })
     }
 
-    /// Inflates the compact form back into a full [`Subgraph`] —
-    /// bit-identical to the extraction that produced it, because
-    /// [`CompactBall::from_subgraph`] preserves the CSR layout exactly
-    /// (only narrowing local ids to `u16`). The serving path never
-    /// inflates: the diffusion kernels take either form (see
-    /// [`QuantView`]), so the cold tier serves the decoded compact ball
-    /// as-is. This is for callers that need a [`GraphView`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`Subgraph::from_parts`] validation error when the
-    /// arrays do not describe a well-formed ball (unreachable for balls
-    /// built by [`CompactBall::from_subgraph`] or validated by
-    /// [`CompactBall::from_raw_parts`] over an undirected parent graph).
-    pub fn to_subgraph(&self) -> Result<Subgraph> {
-        let neighbors: Vec<NodeId> = self.neighbors.iter().map(|&v| NodeId::from(v)).collect();
-        Subgraph::from_parts(
-            self.global_ids.clone(),
-            self.offsets.clone(),
-            neighbors,
-            self.walk_degrees.clone(),
-        )
-        .map_err(PprError::from)
-    }
-
     /// The ball seed's local id (always 0, as for [`Subgraph`]).
     pub fn seed_local(&self) -> NodeId {
         0
@@ -1020,31 +995,32 @@ mod tests {
     }
 
     #[test]
-    fn compact_to_subgraph_is_bit_identical_to_extraction() {
+    fn compact_ball_is_bit_identical_to_extraction() {
         let g = generators::grid(12, 12).unwrap();
+        fn neighbor_list(view: &impl QuantView, u: NodeId) -> Vec<NodeId> {
+            let mut out = Vec::new();
+            view.for_each_neighbor(u, |v| out.push(v));
+            out
+        }
         for (seed, depth) in [(40, 3), (0, 2), (143, 4)] {
             let ball = bfs_ball(&g, seed, depth).unwrap();
             let sub = meloppr_graph::Subgraph::extract(&g, &ball).unwrap();
             let compact = CompactBall::from_subgraph(&sub).unwrap();
-            let inflated = compact.to_subgraph().unwrap();
-            assert_eq!(inflated.global_ids(), sub.global_ids());
-            assert_eq!(inflated.seed_local(), sub.seed_local());
+            assert_eq!(compact.global_ids(), sub.global_ids());
+            assert_eq!(compact.seed_local(), sub.seed_local());
             let n = GraphView::num_nodes(&sub) as NodeId;
-            assert_eq!(GraphView::num_nodes(&inflated) as NodeId, n);
+            assert_eq!(QuantView::num_nodes(&compact) as NodeId, n);
             for u in 0..n {
+                assert_eq!(neighbor_list(&compact, u), GraphView::neighbors(&sub, u));
                 assert_eq!(
-                    GraphView::neighbors(&inflated, u),
-                    GraphView::neighbors(&sub, u)
-                );
-                assert_eq!(
-                    GraphView::walk_degree(&inflated, u),
+                    QuantView::walk_degree(&compact, u),
                     GraphView::walk_degree(&sub, u)
                 );
             }
-            // The f64 kernel over the inflated ball must be
-            // bit-identical to the same kernel over the original.
+            // The f64 kernel over the compact ball must be bit-identical
+            // to the same kernel over the original.
             let a = diffuse_from_seed(&sub, 0, cfg(depth as usize)).unwrap();
-            let b = diffuse_from_seed(&inflated, 0, cfg(depth as usize)).unwrap();
+            let b = diffuse_from_seed(&compact, 0, cfg(depth as usize)).unwrap();
             assert_eq!(a.accumulated, b.accumulated);
             assert_eq!(a.residual, b.residual);
         }

@@ -144,54 +144,6 @@ impl Subgraph {
         })
     }
 
-    /// Reassembles a sub-graph from its serialized arrays — the inflate
-    /// half of a ball codec. The arrays must originate from
-    /// [`Subgraph::extract`] (directly or via a compact wire form):
-    /// node 0 is the seed, `offsets`/`neighbors` are the local-id CSR
-    /// adjacency with per-node sorted neighbor lists, and
-    /// `walk_degrees` are parent-graph degrees. The global→local map is
-    /// rebuilt; the result is bit-identical to the extraction that
-    /// produced the arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidCsr`] when the per-node arrays
-    /// disagree on the node count or the adjacency fails the CSR
-    /// invariants (via [`CsrGraph::from_parts`]).
-    pub fn from_parts(
-        global_ids: Vec<NodeId>,
-        offsets: Vec<u32>,
-        neighbors: Vec<NodeId>,
-        walk_degrees: Vec<u32>,
-    ) -> Result<Self> {
-        let n = global_ids.len();
-        if offsets.len() != n + 1 || walk_degrees.len() != n {
-            return Err(GraphError::InvalidCsr {
-                reason: format!(
-                    "per-node arrays disagree: {n} global ids, {} offsets, {} walk degrees",
-                    offsets.len(),
-                    walk_degrees.len()
-                ),
-            });
-        }
-        let csr = CsrGraph::from_parts(offsets, neighbors)?;
-        let mut global_to_local = FastHashMap::with_capacity_and_hasher(n, Default::default());
-        for (local, &global) in global_ids.iter().enumerate() {
-            if global_to_local.insert(global, local as NodeId).is_some() {
-                return Err(GraphError::InvalidCsr {
-                    reason: format!("duplicate global id {global} in sub-graph"),
-                });
-            }
-        }
-        Ok(Subgraph {
-            csr,
-            global_ids,
-            global_to_local,
-            walk_degrees,
-            seed_local: 0,
-        })
-    }
-
     /// The local id of the ball's seed node (always 0).
     pub fn seed_local(&self) -> NodeId {
         self.seed_local
@@ -334,46 +286,6 @@ mod tests {
         // ball.
         assert_eq!(sub.walk_degree(frontier_local), 2);
         assert_eq!(sub.neighbors(frontier_local).len(), 1);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_an_extraction() {
-        let g = generators::grid(6, 4).unwrap();
-        let ball = bfs_ball(&g, 9, 2).unwrap();
-        let sub = Subgraph::extract(&g, &ball).unwrap();
-        let n = sub.num_nodes() as NodeId;
-        let mut offsets = vec![0u32];
-        let mut neighbors = Vec::new();
-        let mut walk_degrees = Vec::new();
-        for u in 0..n {
-            neighbors.extend_from_slice(sub.neighbors(u));
-            offsets.push(neighbors.len() as u32);
-            walk_degrees.push(sub.walk_degree(u));
-        }
-        let rebuilt =
-            Subgraph::from_parts(sub.global_ids().to_vec(), offsets, neighbors, walk_degrees)
-                .unwrap();
-        assert_eq!(rebuilt.num_nodes(), sub.num_nodes());
-        assert_eq!(rebuilt.seed_local(), 0);
-        for u in 0..n {
-            assert_eq!(rebuilt.neighbors(u), sub.neighbors(u));
-            assert_eq!(rebuilt.walk_degree(u), sub.walk_degree(u));
-            assert_eq!(rebuilt.to_global(u), sub.to_global(u));
-            assert_eq!(rebuilt.to_local(sub.to_global(u)), Some(u));
-        }
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_arrays() {
-        // Two nodes but walk_degrees for one.
-        let err = Subgraph::from_parts(vec![5, 7], vec![0, 1, 2], vec![1, 0], vec![2]);
-        assert!(err.is_err());
-        // Duplicate global id.
-        let err = Subgraph::from_parts(vec![5, 5], vec![0, 1, 2], vec![1, 0], vec![2, 2]);
-        assert!(err.is_err());
-        // Asymmetric adjacency is caught by CSR validation.
-        let err = Subgraph::from_parts(vec![5, 7], vec![0, 1, 1], vec![1], vec![2, 2]);
-        assert!(err.is_err());
     }
 
     #[test]

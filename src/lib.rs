@@ -147,7 +147,7 @@ pub use meloppr_core::{
     ConcurrentSubgraphCache, ConsumerStats, CostEstimate, IndexBuildReport, MelopprEngine,
     MelopprOutcome, MelopprParams, PprBackend, PprParams, PprServer, PrecisionClass, QueryBudget,
     QueryOutcome, QueryRequest, QueryStats, QueryWorkspace, Ranking, ResidualPolicy, Route, Router,
-    SelectionStrategy, ServerConfig, SubgraphCache, TelemetrySnapshot, WorkspacePool,
+    SelectionStrategy, ServerConfig, TelemetrySnapshot, WorkspacePool,
 };
 pub use meloppr_fpga::{AcceleratorConfig, FpgaHybrid, HybridConfig, HybridMeloppr};
 pub use meloppr_graph::{

@@ -3,16 +3,20 @@
 //! corresponding direct engine call, on the karate-club fixture and a
 //! synthetic corpus graph.
 //!
-//! The pre-redesign free functions (`local_ppr`, `monte_carlo_ppr`,
-//! `parallel_query`, `query_cached`) are gone; the remaining direct
-//! engines ([`MelopprEngine`], [`HybridMeloppr`], [`exact_top_k`]) and
-//! cross-mode agreement pin the API instead.
+//! The direct engines ([`MelopprEngine`], [`HybridMeloppr`],
+//! [`exact_top_k`]) and cross-mode agreement pin the API: threaded staged
+//! queries against sequential ones, and the staged backend's shared
+//! cache, over every cache configuration the binaries can express,
+//! against its uncached mode.
+
+use std::sync::Arc;
 
 use meloppr::backend::{ExactPower, LocalPpr, Meloppr, MonteCarlo};
 use meloppr::graph::generators::{self, corpus::PaperGraph};
 use meloppr::{
-    exact_top_k, CsrGraph, FpgaHybrid, HybridConfig, HybridMeloppr, MelopprEngine, MelopprParams,
-    PprBackend, PprParams, QueryRequest, Ranking, SelectionStrategy,
+    build_index, exact_top_k, BallIndex, BallStore, CacheBudget, ConcurrentSubgraphCache, CsrGraph,
+    FpgaHybrid, HybridConfig, HybridMeloppr, MelopprEngine, MelopprParams, PprBackend, PprParams,
+    PrecisionClass, QueryRequest, Ranking, SelectionStrategy,
 };
 
 fn fixtures() -> Vec<(&'static str, CsrGraph)> {
@@ -132,23 +136,60 @@ fn meloppr_threaded_backend_equals_sequential() {
     }
 }
 
+/// Every cache configuration the binaries can express serves exactly
+/// the uncached staged backend's rankings (`==` on the scores): ball
+/// store × RAM-tier budget × cold tier (a depth-3 index) × query byte
+/// budget (a third of the unbudgeted peak) × precision rung, for two
+/// rounds so the second round hits the warm cache.
 #[test]
-fn meloppr_cached_backend_equals_uncached() {
+fn meloppr_cache_configuration_matrix_equals_uncached() {
     for (name, g) in &fixtures() {
         let params = staged_params();
-        let engine = MelopprEngine::new(g, params.clone()).unwrap();
-        let cached_backend = Meloppr::new(g, params.clone()).unwrap().with_cache(64);
-        for round in 0..2 {
-            // Round two hits the warm cache; results must not change.
-            for seed in seeds_for(g) {
-                let direct = engine.query(seed).unwrap().ranking;
-                let via_trait = cached_backend
-                    .query(&QueryRequest::new(seed))
-                    .unwrap()
-                    .ranking;
-                assert_eq!(via_trait, direct, "{name} seed {seed} round {round}");
+        let uncached = Meloppr::new(g, params.clone()).unwrap();
+        let mut requests = Vec::new();
+        for seed in [0u32, 7, 33] {
+            for rung in [PrecisionClass::Exact64, PrecisionClass::Fixed(16)] {
+                let req = QueryRequest::new(seed).with_precision(rung);
+                let peak = uncached.query(&req).unwrap().stats.peak_memory_bytes;
+                requests.push(req.with_max_memory_bytes(peak / 3));
+                requests.push(req);
             }
         }
+        let expected: Vec<Ranking> = requests
+            .iter()
+            .map(|req| uncached.query(req).unwrap().ranking)
+            .collect();
+
+        let path = std::env::temp_dir().join(format!(
+            "meloppr-equivalence-{name}-{}.ballindex",
+            std::process::id()
+        ));
+        build_index(g, 3, &path).unwrap();
+        let index = Arc::new(BallIndex::open(&path).unwrap());
+        for store in [BallStore::Full, BallStore::Compact] {
+            for budget in [CacheBudget::unbounded(), CacheBudget::entries(4)] {
+                for cold in [false, true] {
+                    let mut cache =
+                        ConcurrentSubgraphCache::with_budget(budget).with_ball_store(store);
+                    if cold {
+                        cache = cache.with_cold_tier(Arc::clone(&index));
+                    }
+                    let cached = Meloppr::new(g, params.clone())
+                        .unwrap()
+                        .with_shared_cache(Arc::new(cache));
+                    for round in 0..2 {
+                        for (req, want) in requests.iter().zip(&expected) {
+                            let got = cached.query(req).unwrap().ranking;
+                            assert_eq!(
+                                &got, want,
+                                "{name} {store:?} {budget:?} cold tier {cold} round {round}: {req:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 

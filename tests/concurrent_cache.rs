@@ -12,8 +12,9 @@ use meloppr::backend::{BatchExecutor, Meloppr, QueryRequest};
 use meloppr::graph::generators;
 use meloppr::graph::generators::corpus::PaperGraph;
 use meloppr::{
-    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, ConcurrentSubgraphCache, CsrGraph,
-    GraphView, MelopprParams, NodeId, PprBackend, PprParams, SelectionStrategy, Subgraph,
+    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, CachedBall, ConcurrentSubgraphCache,
+    CsrGraph, ExtractScratch, GraphView, MelopprParams, NodeId, PprBackend, PprParams,
+    SelectionStrategy, Subgraph,
 };
 
 fn staged(selection: SelectionStrategy) -> MelopprParams {
@@ -22,6 +23,32 @@ fn staged(selection: SelectionStrategy) -> MelopprParams {
         stages: vec![3, 3],
         selection,
         ..MelopprParams::paper_defaults()
+    }
+}
+
+/// A demand lookup through throwaway scratch buffers, unwrapping the
+/// full ball: these caches keep the default ball store and no cold tier,
+/// so every ball they serve is full.
+fn get(
+    cache: &ConcurrentSubgraphCache,
+    g: &CsrGraph,
+    node: NodeId,
+    depth: u32,
+    consumer: &CacheConsumer,
+) -> (Arc<Subgraph>, usize) {
+    let (ball, work) = cache
+        .get_ball_with_as(
+            g,
+            node,
+            depth,
+            &mut ExtractScratch::new(),
+            &mut Vec::new(),
+            consumer,
+        )
+        .unwrap();
+    match ball {
+        CachedBall::Full(sub) => (sub, work),
+        CachedBall::Compact(_) => panic!("a BFS-served ball is full under the default store"),
     }
 }
 
@@ -38,19 +65,21 @@ fn stress_raw_cache_singleflight_and_consistency() {
         .collect();
     let threads = 8;
     let rounds = 4;
+    let consumer = CacheConsumer::default();
 
     std::thread::scope(|scope| {
         for t in 0..threads {
             let cache = &cache;
             let g = &g;
             let keys = &keys;
+            let consumer = &consumer;
             scope.spawn(move || {
                 // Each thread walks the keys from a different starting
                 // offset so lookups interleave misses and hits.
                 for round in 0..rounds {
                     for i in 0..keys.len() {
                         let (node, depth) = keys[(i + t * 7 + round) % keys.len()];
-                        let (sub, work) = cache.get_or_extract_counted(g, node, depth).unwrap();
+                        let (sub, work) = get(cache, g, node, depth, consumer);
                         assert_eq!(sub.to_global(sub.seed_local()), node);
                         let ball = bfs_ball(g, node, depth).unwrap();
                         let fresh = Subgraph::extract(g, &ball).unwrap();
@@ -209,9 +238,7 @@ fn concurrent_executors_attribute_exactly_their_own_lookups() {
         let raw = scope.spawn(|| {
             for _ in 0..2 {
                 for &node in &raw_keys {
-                    cache
-                        .get_or_extract_counted_as(&g, node, 2, &raw_consumer)
-                        .unwrap();
+                    get(&cache, &g, node, 2, &raw_consumer);
                 }
             }
         });
@@ -312,18 +339,14 @@ fn rejected_balls_never_evict_admitted_ones() {
     let consumer = CacheConsumer::new(32);
     let admitted: Vec<NodeId> = (40..48u32).collect();
     for &node in &admitted {
-        cache
-            .get_or_extract_counted_as(&g, node, 1, &consumer)
-            .unwrap();
+        get(&cache, &g, node, 1, &consumer);
     }
     assert_eq!(cache.len(), admitted.len());
     let resident_before = cache.len();
 
     // A storm of giant one-off balls, all over budget.
     for seed in [100u32, 120, 140, 160, 180] {
-        let (sub, work) = cache
-            .get_or_extract_counted_as(&g, seed, 40, &consumer)
-            .unwrap();
+        let (sub, work) = get(&cache, &g, seed, 40, &consumer);
         assert!(sub.num_nodes() > 8);
         assert!(work > 0, "rejected balls are served fresh every time");
     }
@@ -333,9 +356,7 @@ fn rejected_balls_never_evict_admitted_ones() {
     assert_eq!(cache.len(), resident_before, "residency unchanged");
     // Every admitted ball still hits.
     for &node in &admitted {
-        let (_, work) = cache
-            .get_or_extract_counted_as(&g, node, 1, &consumer)
-            .unwrap();
+        let (_, work) = get(&cache, &g, node, 1, &consumer);
         assert_eq!(work, 0, "admitted ball {node} was displaced");
     }
 }
@@ -352,14 +373,16 @@ fn full_cache_never_exceeds_entry_budget_under_concurrent_inserts() {
     let g = generators::path(4096).unwrap();
     let cache = Arc::new(ConcurrentSubgraphCache::with_shards(16, 8));
     let threads = 8;
+    let consumer = CacheConsumer::default();
     std::thread::scope(|scope| {
         for t in 0..threads {
             let cache = &cache;
             let g = &g;
+            let consumer = &consumer;
             scope.spawn(move || {
                 for i in 0..64u32 {
                     let seed = (t as u32) * 64 + i;
-                    cache.get_or_extract(g, seed, 1).unwrap();
+                    get(cache, g, seed, 1, consumer);
                     // Mid-churn, the global bound must already hold.
                     assert!(
                         cache.resident_entries() <= 16,
@@ -388,10 +411,12 @@ fn byte_budget_holds_under_concurrent_churn() {
     let cache = Arc::new(ConcurrentSubgraphCache::with_budget(CacheBudget::bytes(
         budget,
     )));
+    let consumer = CacheConsumer::default();
     std::thread::scope(|scope| {
         for t in 0..6usize {
             let cache = &cache;
             let g = &g;
+            let consumer = &consumer;
             scope.spawn(move || {
                 for i in 0..96u32 {
                     // Mixed depths: ball sizes vary, so byte-aware
@@ -399,7 +424,7 @@ fn byte_budget_holds_under_concurrent_churn() {
                     // per admission.
                     let seed = ((t as u32) * 313 + i * 7) % 2000;
                     let depth = 1 + (i % 3);
-                    cache.get_or_extract(g, seed, depth).unwrap();
+                    get(cache, g, seed, depth, consumer);
                     assert!(
                         cache.resident_bytes() <= budget,
                         "byte budget exceeded under concurrency"
@@ -516,15 +541,17 @@ proptest! {
                 .with_admission(AdmissionPolicy::MaxNodes(max_nodes)),
         );
         let n = g.num_nodes() as u32;
+        let consumer = CacheConsumer::default();
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let cache = &cache;
                 let g = &g;
+                let consumer = &consumer;
                 scope.spawn(move || {
                     for i in 0..48u32 {
                         let seed = (t as u32 + i * seed_stride) % n;
                         let depth = i % 3;
-                        cache.get_or_extract(g, seed, depth).unwrap();
+                        get(cache, g, seed, depth, consumer);
                     }
                 });
             }
