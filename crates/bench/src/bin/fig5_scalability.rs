@@ -21,7 +21,7 @@ use meloppr_core::backend::{BatchExecutor, Meloppr, QueryRequest};
 use meloppr_core::diffusion::{diffuse_from_seed, diffuse_into, DiffusionConfig, DiffusionScratch};
 use meloppr_core::{build_index, BallIndex, CacheConsumer, ConsumerStats, IndexBuildReport};
 use meloppr_core::{diffuse_quantized, precision_at_k, CompactBall, QCtx, Qu32, QuantScratch};
-use meloppr_core::{format_bytes, BallStore, CacheBudget, ConcurrentSubgraphCache, PrecisionClass};
+use meloppr_core::{format_bytes, CacheBudget, ConcurrentSubgraphCache, PrecisionClass};
 use meloppr_core::{MelopprParams, PprBackend, PprParams, SelectionStrategy};
 use meloppr_fpga::{
     cycles_to_ns, AcceleratorConfig, CycleBreakdown, FixedPointFormat, FpgaAccelerator,
@@ -340,10 +340,12 @@ fn main() {
     let full_entries = unbounded.resident_entries();
     let byte_budget = (full_bytes / 3).max(1);
     // The entries-denominated "equivalent": the same fraction of the
-    // entry count, i.e. a capacity sized from the average ball.
+    // entry count (balls and stored stage results), i.e. a capacity
+    // sized from the average resident.
     let entry_budget = (full_entries / 3).max(1);
     println!(
-        "full working set: {} balls, {} — budget {} ({} avg-ball slots)",
+        "full working set: {} residents (balls and stage results), {} — budget {} \
+         ({} avg-resident slots)",
         full_entries,
         format_bytes(full_bytes),
         format_bytes(byte_budget),
@@ -354,7 +356,7 @@ fn main() {
         "denomination",
         "resident",
         "vs budget",
-        "balls",
+        "residents",
         "evictions",
         "hit rate",
         "extractions",
@@ -382,7 +384,7 @@ fn main() {
         resident
     };
     run_budget(
-        "entries (avg-ball sizing)",
+        "entries (avg-resident sizing)",
         CacheBudget::entries(entry_budget),
     );
     let byte_resident = run_budget("bytes (enforced)", CacheBudget::bytes(byte_budget));
@@ -393,8 +395,8 @@ fn main() {
     );
     println!(
         "the byte-budgeted cache stays within {} by construction (reservation before \
-         admission); the entry-count cache keeps whatever {} balls are hot, whatever \
-         they weigh",
+         admission); the entry-count cache keeps whatever {} residents are hot, \
+         whatever they weigh",
         format_bytes(byte_budget),
         entry_budget,
     );
@@ -404,8 +406,8 @@ fn main() {
     // claims, each recorded in BENCH_fig5.json:
     //   1. a narrower rung (f32 or q16) runs the per-ball diffusion
     //      >= 1.2x faster than the exact f64 pipeline;
-    //   2. the compact ball store fits >= 1.5x more residents under the
-    //      same cache byte budget;
+    //   2. the compact form the cache keeps takes >= 1.5x fewer bytes
+    //      than the full sub-graphs of the same balls;
     //   3. quantized end-to-end rankings keep precision@200 >= 0.95
     //      against the exact-f64 staged baseline.
     println!();
@@ -548,33 +550,26 @@ fn main() {
         );
     }
 
-    // Claim 2: resident density under the byte budget of the memory
-    // pressure section, full vs compact ball store.
-    let run_store = |store: BallStore| -> usize {
-        let cache = Arc::new(
-            ConcurrentSubgraphCache::with_budget(CacheBudget::bytes(byte_budget))
-                .with_ball_store(store),
-        );
-        let backend = Meloppr::new(g, staged.clone())
-            .expect("backend")
-            .with_shared_cache(Arc::clone(&cache));
-        executor.run(&backend, &reqs).expect("store batch");
-        cache.resident_entries()
-    };
-    let full_resident = run_store(BallStore::Full);
-    let compact_resident = run_store(BallStore::Compact);
-    let density = compact_resident as f64 / full_resident.max(1) as f64;
+    // Claim 2: density of the compact form the cache keeps, against
+    // the full sub-graphs of the same balls — how many more balls one
+    // byte budget holds.
+    let full_bytes: usize = ladder_subs
+        .iter()
+        .map(|sub| sub.memory_bytes().total())
+        .sum();
+    let compact_bytes: usize = compacts.iter().map(CompactBall::memory_bytes_total).sum();
+    let density = full_bytes as f64 / compact_bytes.max(1) as f64;
     println!(
-        "ball store density under {}: full {} residents, compact {} residents ({:.2}x)",
-        format_bytes(byte_budget),
-        full_resident,
-        compact_resident,
+        "ball density over the same {} balls: full {}, compact {} ({:.2}x)",
+        ladder_subs.len(),
+        format_bytes(full_bytes),
+        format_bytes(compact_bytes),
         density,
     );
     assert!(
         density >= 1.5,
-        "compact ball store regressed: {compact_resident} residents vs {full_resident} \
-         full ({density:.2}x, need >= 1.5x under the same byte budget)"
+        "compact ball form regressed: {compact_bytes} bytes vs {full_bytes} full \
+         ({density:.2}x, need >= 1.5x over the same balls)"
     );
 
     // Claim 3: end-to-end quantized rankings against the exact-f64
@@ -625,9 +620,9 @@ fn main() {
         cpu_ms,
         &fpga_rows,
         &ladder_ns,
-        byte_budget,
-        full_resident,
-        compact_resident,
+        ladder_subs.len(),
+        full_bytes,
+        compact_bytes,
         &floors,
     );
     const REPORT: &str = "BENCH_fig5.json";
@@ -842,9 +837,9 @@ fn render_json(
     cpu_ms: f64,
     fpga_rows: &[(usize, f64, f64, f64, f64)],
     ladder_ns: &[(&str, f64)],
-    byte_budget: usize,
-    full_resident: usize,
-    compact_resident: usize,
+    balls: usize,
+    full_bytes: usize,
+    compact_bytes: usize,
     floors: &[(&str, PrecisionClass, f64)],
 ) -> String {
     // Speedups are relative to the pre-ladder exact pipeline (sparse
@@ -882,9 +877,9 @@ fn render_json(
     }
     out.push_str("    ],\n");
     out.push_str(&format!(
-        "    \"cache_density\": {{\"byte_budget\": {byte_budget}, \"full_resident_balls\": \
-         {full_resident}, \"compact_resident_balls\": {compact_resident}, \"ratio\": {:.4}}},\n",
-        compact_resident as f64 / full_resident.max(1) as f64
+        "    \"ball_density\": {{\"balls\": {balls}, \"full_bytes\": {full_bytes}, \
+         \"compact_bytes\": {compact_bytes}, \"ratio\": {:.4}}},\n",
+        full_bytes as f64 / compact_bytes.max(1) as f64
     ));
     out.push_str("    \"precision_at_200_floors\": [\n");
     for (i, (label, _, worst)) in floors.iter().enumerate() {

@@ -120,6 +120,7 @@ impl<G: GraphView + ?Sized> PprBackend for ExactPower<'_, G> {
         let stats = QueryStats {
             stages: vec![StageStats {
                 diffusions: 1,
+                reused: 0,
                 candidates: 0,
                 expanded: 0,
                 bfs_edges_scanned: 0,

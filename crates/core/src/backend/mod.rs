@@ -419,6 +419,7 @@ impl QueryStats {
             backend: BackendKind::LocalPpr,
             stages: vec![StageStats {
                 diffusions: 1,
+                reused: 0,
                 candidates: 0,
                 expanded: 0,
                 bfs_edges_scanned: stats.bfs_edges_scanned,

@@ -29,12 +29,15 @@
 //! ```text
 //! meloppr-state v1
 //! calibration meloppr ratio 1.82 samples 41 degraded 3
-//! consumer meloppr hits 812 shared 77 misses 131 extractions 131 rejected 4 ewma 0.87 window hhmhh...
+//! consumer meloppr hits 812 reuse 640 shared 77 misses 131 extractions 131 rejected 4 ewma 0.87 window hhmhh...
 //! ```
 //!
 //! `window` is the sliding window's outcomes oldest-first, one char per
 //! lookup (`h` = served without BFS, `m` = paid for the extraction, `-`
 //! for an empty window); `ewma -` means no lookup was ever recorded.
+//! `reuse` (the hits served by stored stage results, which the staged
+//! `estimate()` discounts diffusion by) may be absent, as in files
+//! written before it existed; it then reads as 0.
 //!
 //! The final line is an integrity footer over every byte before it:
 //!
@@ -166,9 +169,10 @@ impl PersistedState {
                 .unwrap_or_else(|| "-".into());
             let _ = writeln!(
                 out,
-                "consumer {kind} hits {} shared {} misses {} extractions {} rejected {} \
-                 ewma {ewma} window {window}",
+                "consumer {kind} hits {} reuse {} shared {} misses {} extractions {} \
+                 rejected {} ewma {ewma} window {window}",
                 state.stats.hits,
+                state.stats.reuse_hits,
                 state.stats.shared,
                 state.stats.misses,
                 state.stats.extractions,
@@ -204,7 +208,7 @@ impl PersistedState {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut tokens = line.split_whitespace();
+            let mut tokens = line.split_whitespace().peekable();
             let context = |what: &str| format!("line {}: {what}", number + 2);
             match tokens.next() {
                 Some("calibration") => {
@@ -218,8 +222,16 @@ impl PersistedState {
                 }
                 Some("consumer") => {
                     let kind = parse_kind(&mut tokens).map_err(|e| context(&e))?;
+                    let hits = parse_field(&mut tokens, "hits").map_err(|e| context(&e))?;
+                    let reuse_hits = match tokens.peek() {
+                        Some(&"reuse") => {
+                            parse_field(&mut tokens, "reuse").map_err(|e| context(&e))?
+                        }
+                        _ => 0,
+                    };
                     let stats = ConsumerStats {
-                        hits: parse_field(&mut tokens, "hits").map_err(|e| context(&e))?,
+                        hits,
+                        reuse_hits,
                         shared: parse_field(&mut tokens, "shared").map_err(|e| context(&e))?,
                         misses: parse_field(&mut tokens, "misses").map_err(|e| context(&e))?,
                         extractions: parse_field(&mut tokens, "extractions")
@@ -458,6 +470,7 @@ mod tests {
                 ConsumerState {
                     stats: ConsumerStats {
                         hits: 10,
+                        reuse_hits: 6,
                         shared: 2,
                         misses: 4,
                         extractions: 4,
@@ -483,6 +496,15 @@ mod tests {
         bare.consumers[0].1.ewma = None;
         bare.consumers[0].1.window.clear();
         assert_eq!(PersistedState::decode(&bare.encode()).unwrap(), bare);
+
+        // A record written before `reuse` existed still decodes, as 0.
+        let old = with_footer(
+            "meloppr-state v1\nconsumer meloppr hits 3 shared 1 misses 2 extractions 2 \
+             rejected 0 ewma 0.5 window hm\n",
+        );
+        let decoded = PersistedState::decode(&old).unwrap();
+        let stats = decoded.consumers[0].1.stats;
+        assert_eq!((stats.hits, stats.reuse_hits, stats.misses), (3, 0, 2));
     }
 
     /// Appends a valid integrity footer, so record-level corruption

@@ -9,7 +9,7 @@ use super::{
     CostEstimate, LatencyModel, ParamOverrides, PprBackend, QueryOutcome, QueryRequest, QueryStats,
     WorkProfile,
 };
-use crate::cache::{CacheConsumer, ConcurrentSubgraphCache, DEFAULT_HIT_WINDOW};
+use crate::cache::{CacheConsumer, ConcurrentSubgraphCache, ConsumerStats, DEFAULT_HIT_WINDOW};
 use crate::error::{PprError, Result};
 use crate::meloppr::{staged_query_impl, MelopprOutcome, MemoryBudget};
 use crate::memory::cpu_task_memory_width;
@@ -27,8 +27,8 @@ use crate::workspace::{QueryWorkspace, WorkspacePool};
 ///
 /// The value is `fig5_scalability`'s beyond-RAM probe
 /// (`BENCH_tiered.json`: depth-3 balls of G1 at scale 1.0, page-cached
-/// index, 2-vCPU x86-64 VM), which puts the median cold hit at 5.1 µs
-/// and the median BFS miss at 148.9 µs, a ratio of 0.035.
+/// index, 2-vCPU x86-64 VM), which puts the median cold hit at 5.2 µs
+/// and the median BFS miss at 147.2 µs, a ratio of 0.035.
 const COLD_HIT_COST_FACTOR: f64 = 0.035;
 
 /// Multi-stage MeLoPPR (§IV) as a backend.
@@ -45,9 +45,13 @@ const COLD_HIT_COST_FACTOR: f64 = 0.035;
 ///   the cached ball zero-copy, and hits charge zero BFS work.
 ///
 /// All modes return identical rankings for identical requests; they
-/// differ only in wall-clock and BFS work accounting (cache hits charge
-/// zero BFS). With a cache attached, [`Meloppr::estimate`] discounts the
-/// predicted BFS latency by the **windowed** hit rate of recent lookups
+/// differ only in wall-clock and work accounting. Cache hits charge zero
+/// BFS, and a cached query without `max_memory_bytes` serves each stage
+/// task whose unweighted output is stored from that stored result, with
+/// no diffusion (counted in `StageStats::reused`). With a cache attached,
+/// [`Meloppr::estimate`] discounts the predicted diffusion work of such
+/// requests by this backend's lifetime reuse fraction, and the predicted
+/// BFS latency by the **windowed** hit rate of recent lookups
 /// (`--cache-window` / [`Meloppr::with_cache_window`]), so a
 /// budget-driven [`Router`](super::Router) learns that warmed caches
 /// make staged queries cheaper — and un-learns it within one window when
@@ -206,6 +210,21 @@ impl<'g, G: GraphView + Sync + ?Sized> Meloppr<'g, G> {
     /// share of the key space lives on disk, which shifts with the index
     /// contents, not with short-term traffic.
     fn cold_hit_fraction(&self) -> f64 {
+        self.lifetime_fraction(|stats| stats.cold_hits)
+    }
+
+    /// Fraction of this backend's lifetime cache lookups served by a
+    /// stored stage result (no ball, no diffusion) — 0.0 with no cache
+    /// attached or before any lookup. Lifetime, like
+    /// `cold_hit_fraction`: how much of the task space repeats is a
+    /// property of the traffic's key set, not of the last window.
+    fn reuse_fraction(&self) -> f64 {
+        self.lifetime_fraction(|stats| stats.reuse_hits)
+    }
+
+    /// `part(stats) / lookups` over this backend's consumer counters,
+    /// clamped to `[0, 1]`; 0.0 with no cache or no lookups yet.
+    fn lifetime_fraction(&self, part: impl Fn(&ConsumerStats) -> u64) -> f64 {
         let Some((_, consumer)) = &self.cache else {
             return 0.0;
         };
@@ -214,7 +233,7 @@ impl<'g, G: GraphView + Sync + ?Sized> Meloppr<'g, G> {
         if lookups == 0 {
             return 0.0;
         }
-        (stats.cold_hits as f64 / lookups as f64).clamp(0.0, 1.0)
+        (part(&stats) as f64 / lookups as f64).clamp(0.0, 1.0)
     }
 
     /// The modelled working set of one stage task on the average
@@ -414,7 +433,16 @@ impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
         // Reduced-width rungs run the dense vectorizable diffusion
         // kernel; charge their per-edge cost at the class's documented
         // discount so a deadline router learns that narrower is faster.
-        let ns_per_diffusion_edge = m.ns_per_diffusion_edge * class.diffusion_cost_factor();
+        // Without a byte budget, a task whose stage result is stored
+        // runs no diffusion at all: charge only the share of diffusion
+        // work this backend's lookups have not been reusing. Budgeted
+        // queries never reuse, so they pay the whole term.
+        let reuse = match req.budget.max_memory_bytes {
+            Some(_) => 0.0,
+            None => self.reuse_fraction(),
+        };
+        let ns_per_diffusion_edge =
+            m.ns_per_diffusion_edge * class.diffusion_cost_factor() * (1.0 - reuse);
         let cost_of = |bfs: f64, diffusion_edges: f64, nodes: f64| {
             bfs * bfs_miss_fraction * m.ns_per_bfs_edge
                 + diffusion_edges * ns_per_diffusion_edge
@@ -791,6 +819,46 @@ mod tests {
         let threaded = Meloppr::new(&g, params()).unwrap().with_threads(8).unwrap();
         assert!(
             threaded.estimate(&req).unwrap().latency_ns < narrow.estimate(&req).unwrap().latency_ns
+        );
+    }
+
+    #[test]
+    fn estimate_prices_reuse_for_unbudgeted_requests_only() {
+        let g = generators::corpus::PaperGraph::G2Cora
+            .generate_scaled(0.2, 9)
+            .unwrap();
+        let shared = Meloppr::new(&g, params())
+            .unwrap()
+            .with_cache_window(8)
+            .with_shared_cache(Arc::new(ConcurrentSubgraphCache::new(4096)));
+        let consumer = shared.cache_consumer().unwrap();
+        let seeds = [3u32, 5, 7];
+        for &seed in &seeds {
+            shared.query(&QueryRequest::new(seed)).unwrap();
+        }
+        // Fill the hit window with reuse hits, so the BFS discount is the
+        // same before and after the second pass.
+        while consumer.windowed_hit_rate() < 1.0 {
+            shared.query(&QueryRequest::new(seeds[0])).unwrap();
+        }
+        let unbudgeted = QueryRequest::new(5);
+        let budgeted = unbudgeted.with_max_memory_bytes(1 << 30);
+        let before = shared.estimate(&unbudgeted).unwrap().latency_ns;
+        let budgeted_before = shared.estimate(&budgeted).unwrap().latency_ns;
+        let reused_before = consumer.stats().reuse_hits;
+
+        // The second pass over the same seeds is served by stored stage
+        // results: a larger lifetime reuse fraction, a cheaper estimate.
+        for &seed in &seeds {
+            shared.query(&QueryRequest::new(seed)).unwrap();
+        }
+        assert!(consumer.stats().reuse_hits > reused_before);
+        assert_eq!(consumer.windowed_hit_rate(), 1.0);
+        assert!(shared.estimate(&unbudgeted).unwrap().latency_ns < before);
+        // A budgeted request never reuses, so its price does not move.
+        assert_eq!(
+            shared.estimate(&budgeted).unwrap().latency_ns,
+            budgeted_before
         );
     }
 

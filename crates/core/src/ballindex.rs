@@ -389,8 +389,8 @@ fn record_len(n: usize, m: usize) -> usize {
 ///
 /// Every node is BFS-extracted once through one reused
 /// [`ExtractScratch`]; balls larger than `u16` local ids are recorded as
-/// absent (they fall back to live BFS online, exactly as they bypass
-/// [`BallStore::Compact`](crate::BallStore) in RAM).
+/// absent (they fall back to live BFS online, exactly as the RAM cache
+/// keeps them full).
 ///
 /// # Errors
 ///

@@ -8,11 +8,38 @@
 //! bars). Under skewed real traffic the *same* hub balls recur across
 //! concurrent queries too, so extracted state is most valuable when it is
 //! shared by every worker serving the batch. One cache lives here:
-//! [`ConcurrentSubgraphCache`], a sharded, lock-striped map of
-//! [`CachedBall`]s keyed by `(node, depth)` and designed for N batch
-//! workers hammering it at once. Every cached staged query goes through
-//! it, whether one engine serves queries sequentially or a worker pool
-//! shares it.
+//! [`ConcurrentSubgraphCache`], a sharded, lock-striped map designed for
+//! N batch workers hammering it at once. Every cached staged query goes
+//! through it, whether one engine serves queries sequentially or a
+//! worker pool shares it.
+//!
+//! # Two resident forms: balls and stage results
+//!
+//! **Balls.** A [`CachedBall`] keyed by `(node, depth)`: the BFS ball a
+//! stage task diffuses on. Every ball that fits `u16` local ids is kept
+//! as a [`CachedBall::Compact`] (`u16` local adjacency, no global→local
+//! map, roughly half the bytes of the full [`Subgraph`]); only balls
+//! over 65 536 nodes stay [`CachedBall::Full`]. The kernels diffuse
+//! both forms to the same bits at every precision rung, so the form
+//! never shows in an answer. A BFS miss still serves its caller the
+//! full extraction it just made; the compact copy is what stays.
+//!
+//! **Stage results.** By the linear decomposition (Eq. 7) a stage task's
+//! output is a fixed vector for its node, scaled by the task's weight
+//! only afterwards. The staged engine therefore stores each task's
+//! *unweighted* output (the Eq. 8-adjusted scores and the selected
+//! children's raw residuals) keyed by everything that output depends
+//! on: node, diffusion length, whether the stage is the last, precision
+//! rung, and α / selection / residual policy. A later task with the same
+//! key merges the stored output reweighted by its own weight instead of
+//! loading a ball and diffusing it. This is the path of every cached
+//! query without a byte budget; budgeted queries (whose balls may be
+//! segmented) always diffuse. A result hit counts as one cache hit
+//! ([`CacheStats::reuse_hits`] is the subset of hits served this way), so
+//! a task costs one lookup whichever form answers it.
+//!
+//! Both forms share one key space, one [`CacheBudget`], one LRU order
+//! and one [`AdmissionPolicy`], and each is charged its measured bytes.
 //!
 //! # Byte-denominated capacity
 //!
@@ -54,13 +81,26 @@
 //! **Approximate recency via per-entry atomics.** Touching an entry
 //! stores a global clock stamp into its `AtomicU64` — a CLOCK-style
 //! relaxed write that needs no exclusive lock, so the hit path never
-//! serializes on recency bookkeeping. Eviction heapifies the published
-//! residents of **every** shard by `(stamp, key)` and pops victims until
-//! the candidate fits. One global clock orders all shards, so a
-//! single-threaded run evicts in strict LRU order (smallest key breaking
-//! ties) whatever the shard count; under concurrency the stamps are
-//! approximate, which is exactly the CLOCK trade: cheap hits, near-LRU
-//! victims.
+//! serializes on recency bookkeeping.
+//!
+//! **A lazily repaired LRU heap.** A budgeted cache keeps one
+//! `(stamp, key)` min-heap under a mutex, with one item per published
+//! resident, pushed when the resident is published (after its shard
+//! lock is released; the heap mutex is never taken while a shard lock
+//! is held). A hit does not touch the heap: it only moves the entry's
+//! stamp forward, so an item's stamp may be older than its entry's.
+//! Eviction pops the minimum and repairs it lazily: an item whose entry
+//! is no longer resident is dropped, an item whose entry carries a newer
+//! stamp is pushed back with that stamp, and otherwise the entry is the
+//! least recently used resident and is evicted. Every item's stamp is at
+//! most its entry's, so the first item that survives the check is the
+//! true minimum: eviction keeps the exact `(stamp, key)` order a full
+//! scan would give, at `O(log R)` per victim for `R` residents instead
+//! of `O(R)` per admission. One global clock orders all shards, so a
+//! single-threaded run evicts in strict LRU order whatever the shard
+//! count; under concurrency the stamps are approximate, which is exactly
+//! the CLOCK trade: cheap hits, near-LRU victims. An unbounded cache
+//! never evicts and keeps no heap.
 //!
 //! # Telemetry: consumers, windows, admission
 //!
@@ -113,10 +153,10 @@
 //! RAM tier: a RAM miss whose `(node, depth)` ball is in the index is
 //! served by **one positioned read** (`read_exact_at` into a pooled,
 //! caller-owned buffer — no mmap, no `unsafe`), decoded from the compact
-//! wire form, kept in that form as a [`CachedBall::Compact`] under every
-//! [`BallStore`] (the exact kernel diffuses a compact ball to the same
-//! bits as the full [`Subgraph`], so disk-served answers stay
-//! **bit-identical** to BFS-served ones) and admitted through the same
+//! wire form, served and kept in that form as a [`CachedBall::Compact`]
+//! (the kernels diffuse a compact ball to the same bits as the full
+//! [`Subgraph`], so disk-served answers stay **bit-identical** to
+//! BFS-served ones) and admitted through the same
 //! [`AdmissionPolicy`]/[`CacheBudget`] gates as a fresh extraction,
 //! charged its compact bytes. Live BFS remains the fallback whenever the
 //! index lacks the node or depth, or the read/decode fails — the cold
@@ -141,41 +181,68 @@ use meloppr_graph::{ExtractScratch, FastHashMap, GraphView, NodeId, Subgraph};
 
 use crate::ballindex::BallIndex;
 use crate::error::Result;
+use crate::meloppr::{ResultKey, StageResult};
 use crate::quantized::CompactBall;
 
-/// Cache key: the ball's seed node and BFS depth.
-type CacheKey = (NodeId, u32);
+/// Fibonacci multiplier of the shard and sketch hashes.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// How a cache stores resident balls.
-///
-/// The store decides the form of BFS-extracted residents; balls served
-/// by the cold tier stay in the compact form they are decoded into
-/// under either store. The default [`BallStore::Full`] keeps the
-/// extracted [`Subgraph`]s themselves — zero-copy hits, bit-identical to
-/// fresh extraction. [`BallStore::Compact`] is the precision ladder's
-/// memory rung: it stores residents as [`CompactBall`]s (`u16` local
-/// adjacency, no global→local map) at roughly **half** the bytes, so the
-/// same [`CacheBudget::bytes`] holds ~2× more balls (asserted ≥ 1.5× by
-/// the fig5 ladder section). Compact residents are served as-is: the
-/// staged engine's kernels take either form and give the same bits at
-/// every rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BallStore {
-    /// BFS-extracted residents are full [`Subgraph`]s (default).
-    #[default]
-    Full,
-    /// Residents are compacted to [`CompactBall`]s when the ball fits
-    /// `u16` local ids (≤ 65 536 nodes); oversized balls stay full.
-    Compact,
+/// Cache key: what a resident answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum CacheKey {
+    /// The BFS ball around a seed node at a depth.
+    Ball(NodeId, u32),
+    /// One stage task's unweighted output.
+    Result(ResultKey),
 }
 
-/// A resident ball in whichever representation the [`BallStore`] chose.
+impl From<(NodeId, u32)> for CacheKey {
+    fn from((node, depth): (NodeId, u32)) -> Self {
+        CacheKey::Ball(node, depth)
+    }
+}
+
+impl CacheKey {
+    /// The key's pre-multiply hash word. A ball's is `node << 32 |
+    /// depth`; a result folds its remaining fields into the low half.
+    fn word(&self) -> u64 {
+        match *self {
+            CacheKey::Ball(node, depth) => (node as u64) << 32 | depth as u64,
+            CacheKey::Result(key) => (key.node as u64) << 32 | key.variant_hash() as u64,
+        }
+    }
+}
+
+/// A resident ball, compact whenever it fits `u16` local ids.
 #[derive(Debug, Clone)]
 pub enum CachedBall {
-    /// The full extracted sub-graph.
+    /// The full extracted sub-graph: what a BFS miss serves its caller,
+    /// and the resident form of balls over 65 536 nodes.
     Full(Arc<Subgraph>),
     /// The reduced-width representation (see [`CompactBall`]).
     Compact(Arc<CompactBall>),
+}
+
+/// What one cache entry holds.
+#[derive(Debug)]
+enum Resident {
+    Ball(CachedBall),
+    Result(Arc<StageResult>),
+}
+
+impl From<CachedBall> for Resident {
+    fn from(ball: CachedBall) -> Self {
+        Resident::Ball(ball)
+    }
+}
+
+impl Resident {
+    fn memory_bytes_total(&self) -> usize {
+        match self {
+            Resident::Ball(ball) => ball.memory_bytes_total(),
+            Resident::Result(result) => result.memory_bytes(),
+        }
+    }
 }
 
 impl CachedBall {
@@ -202,10 +269,10 @@ impl CachedBall {
 ///
 /// Every bound set is enforced globally (one atomic counter per bound,
 /// reserved before an entry becomes resident), so a budgeted cache never
-/// holds more than `entries` balls nor more than `bytes` measured bytes
-/// of sub-graph storage — even under concurrent inserts across shards.
-/// `None` leaves a dimension unbounded; both `None` is a fully unbounded
-/// cache.
+/// holds more than `entries` residents (balls and stage results
+/// together) nor more than `bytes` measured bytes of them — even under
+/// concurrent inserts across shards. `None` leaves a dimension
+/// unbounded; both `None` is a fully unbounded cache.
 ///
 /// # Examples
 ///
@@ -218,11 +285,14 @@ impl CachedBall {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheBudget {
-    /// Maximum resident entries (balls), `None` = unbounded.
+    /// Maximum resident entries, `None` = unbounded. The bound counts
+    /// balls and stage results together: a stored stage result is one
+    /// entry, like a ball.
     pub entries: Option<usize>,
     /// Maximum resident bytes (sum of each resident ball's
     /// [`CachedBall::memory_bytes_total`] — the compact size for compact
-    /// residents), `None` = unbounded.
+    /// residents — and of each stored stage result's arrays), `None` =
+    /// unbounded.
     pub bytes: Option<usize>,
 }
 
@@ -274,6 +344,9 @@ impl CacheBudget {
 pub struct CacheStats {
     /// Lookups served instantly from a resident entry.
     pub hits: u64,
+    /// Stage tasks served by a stored stage result instead of a ball and
+    /// a diffusion. A subset of `hits`: each is that task's one lookup.
+    pub reuse_hits: u64,
     /// Lookups that waited on another worker's in-flight extraction and
     /// shared its result (singleflight losers — no BFS work performed).
     pub shared: u64,
@@ -318,6 +391,7 @@ impl CacheStats {
     pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
+            reuse_hits: self.reuse_hits.saturating_sub(earlier.reuse_hits),
             shared: self.shared.saturating_sub(earlier.shared),
             misses: self.misses.saturating_sub(earlier.misses),
             extractions: self.extractions.saturating_sub(earlier.extractions),
@@ -344,6 +418,9 @@ impl CacheStats {
 pub struct ConsumerStats {
     /// Lookups served instantly from a resident entry.
     pub hits: u64,
+    /// This consumer's stage tasks served by a stored stage result (a
+    /// subset of `hits`).
+    pub reuse_hits: u64,
     /// Lookups that shared another worker's in-flight extraction.
     pub shared: u64,
     /// Lookups that performed the extraction themselves.
@@ -384,6 +461,7 @@ impl ConsumerStats {
     pub fn delta_since(&self, earlier: &ConsumerStats) -> ConsumerStats {
         ConsumerStats {
             hits: self.hits.saturating_sub(earlier.hits),
+            reuse_hits: self.reuse_hits.saturating_sub(earlier.reuse_hits),
             shared: self.shared.saturating_sub(earlier.shared),
             misses: self.misses.saturating_sub(earlier.misses),
             extractions: self.extractions.saturating_sub(earlier.extractions),
@@ -405,6 +483,7 @@ impl From<CacheStats> for ConsumerStats {
     fn from(stats: CacheStats) -> Self {
         ConsumerStats {
             hits: stats.hits,
+            reuse_hits: stats.reuse_hits,
             shared: stats.shared,
             misses: stats.misses,
             extractions: stats.extractions,
@@ -497,6 +576,7 @@ const EWMA_UNSET: u64 = u64::MAX;
 /// ```
 pub struct CacheConsumer {
     hits: AtomicU64,
+    reuse_hits: AtomicU64,
     shared: AtomicU64,
     misses: AtomicU64,
     extractions: AtomicU64,
@@ -546,6 +626,7 @@ impl CacheConsumer {
         assert!(window > 0, "hit-rate window must be positive");
         CacheConsumer {
             hits: AtomicU64::new(0),
+            reuse_hits: AtomicU64::new(0),
             shared: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             extractions: AtomicU64::new(0),
@@ -571,6 +652,7 @@ impl CacheConsumer {
     pub fn stats(&self) -> ConsumerStats {
         ConsumerStats {
             hits: self.hits.load(Ordering::Relaxed),
+            reuse_hits: self.reuse_hits.load(Ordering::Relaxed),
             shared: self.shared.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             extractions: self.extractions.load(Ordering::Relaxed),
@@ -647,6 +729,12 @@ impl CacheConsumer {
         self.record(true);
     }
 
+    /// A stage task served by a stored result: one hit, and a reuse.
+    fn on_reuse_hit(&self) {
+        self.reuse_hits.fetch_add(1, Ordering::Relaxed);
+        self.on_hit();
+    }
+
     fn on_shared(&self) {
         self.shared.fetch_add(1, Ordering::Relaxed);
         self.record(true);
@@ -704,6 +792,8 @@ impl CacheConsumer {
     /// concurrent lookups during restore interleave arbitrarily.
     pub fn restore_state(&self, state: &ConsumerState) {
         self.hits.store(state.stats.hits, Ordering::Relaxed);
+        self.reuse_hits
+            .store(state.stats.reuse_hits, Ordering::Relaxed);
         self.shared.store(state.stats.shared, Ordering::Relaxed);
         self.misses.store(state.stats.misses, Ordering::Relaxed);
         self.extractions
@@ -856,10 +946,14 @@ enum EntryState {
 /// serialize. The `Mutex`/`Condvar` pair is touched only by singleflight
 /// losers waiting out an in-flight extraction (state `Pending`).
 struct Entry {
-    published: OnceLock<CachedBall>,
+    published: OnceLock<Resident>,
     state: Mutex<EntryState>,
     ready: Condvar,
     last_used: AtomicU64,
+    /// The clock stamp the entry was created at: unique per entry, so
+    /// an LRU heap item names the entry it was pushed for, not just its
+    /// key (a key evicted and admitted again is a new entry).
+    id: u64,
     /// Bytes this entry charged against the global resident-bytes
     /// counter (0 while pending or when it was never made resident).
     /// Written under the shard write lock before publication, so under a
@@ -874,10 +968,23 @@ impl Entry {
             state: Mutex::new(EntryState::Pending),
             ready: Condvar::new(),
             last_used: AtomicU64::new(stamp),
+            id: stamp,
             charged_bytes: AtomicUsize::new(0),
         })
     }
+
+    /// The published ball of a ball-keyed entry.
+    fn ball(&self) -> Option<&CachedBall> {
+        match self.published.get()? {
+            Resident::Ball(ball) => Some(ball),
+            Resident::Result(_) => None,
+        }
+    }
 }
+
+/// One LRU heap item: the stamp the entry had when the item was pushed,
+/// its key, and the entry's id.
+type LruItem = Reverse<(u64, CacheKey, u64)>;
 
 struct Shard {
     map: RwLock<FastHashMap<CacheKey, Arc<Entry>>>,
@@ -1011,7 +1118,8 @@ enum LookupMode {
 ///
 /// Two public lookups exist: the demand lookup
 /// [`ConcurrentSubgraphCache::get_ball_with_as`] and the uncounted
-/// warm-up [`ConcurrentSubgraphCache::warm_with`].
+/// warm-up [`ConcurrentSubgraphCache::warm_with`]. Stage results are
+/// looked up and admitted by the staged engine itself.
 ///
 /// # Examples
 ///
@@ -1026,9 +1134,12 @@ enum LookupMode {
 /// let consumer = CacheConsumer::default();
 /// let (mut scratch, mut cold_buf) = (ExtractScratch::new(), Vec::new());
 /// let mut lookup = || cache.get_ball_with_as(&g, 0, 2, &mut scratch, &mut cold_buf, &consumer);
-/// let (CachedBall::Full(a), work_a) = lookup()? else { unreachable!() };
-/// let (CachedBall::Full(b), work_b) = lookup()? else { unreachable!() };
-/// assert!(Arc::ptr_eq(&a, &b)); // zero-copy reuse
+/// // A miss serves the full extraction it made; the cache keeps the
+/// // ball compact, and every hit shares that one resident.
+/// let (CachedBall::Full(_), work_a) = lookup()? else { unreachable!() };
+/// let (CachedBall::Compact(b), work_b) = lookup()? else { unreachable!() };
+/// let (CachedBall::Compact(c), _) = lookup()? else { unreachable!() };
+/// assert!(Arc::ptr_eq(&b, &c)); // zero-copy reuse
 /// assert!(work_a > 0);
 /// assert_eq!(work_b, 0); // hits charge no BFS
 /// assert_eq!(cache.stats().extractions, 1);
@@ -1039,11 +1150,14 @@ pub struct ConcurrentSubgraphCache {
     shards: Box<[Shard]>,
     budget: CacheBudget,
     admission: AdmissionPolicy,
-    store: BallStore,
     /// Optional cold tier: a persisted ball index consulted by the
     /// ball-representation lookups on a RAM miss before falling back to
     /// live BFS.
     cold: Option<Arc<BallIndex>>,
+    /// The lazily repaired LRU heap over published residents (see the
+    /// module docs); `None` for an unbounded cache, which never evicts.
+    /// Never locked while a shard lock is held.
+    lru: Option<Mutex<BinaryHeap<LruItem>>>,
     /// Counting sketch of key sightings for the frequency-aware
     /// admission policies; empty for other policies. Collisions
     /// over-count, which can only admit early.
@@ -1057,6 +1171,7 @@ pub struct ConcurrentSubgraphCache {
     /// entries, reserved/released in lockstep with `resident_entries`.
     resident_bytes: AtomicUsize,
     hits: AtomicU64,
+    reuse_hits: AtomicU64,
     shared: AtomicU64,
     misses: AtomicU64,
     extractions: AtomicU64,
@@ -1065,8 +1180,8 @@ pub struct ConcurrentSubgraphCache {
     cold_hits: AtomicU64,
     cold_bytes_read: AtomicU64,
     cold_fallbacks: AtomicU64,
-    /// Times a poisoned shard or entry lock was recovered
-    /// (clear-and-continue) instead of cascading the panic.
+    /// Times a poisoned shard, entry or LRU-heap lock was recovered
+    /// instead of cascading the panic.
     poison_recoveries: AtomicU64,
 }
 
@@ -1149,17 +1264,19 @@ impl ConcurrentSubgraphCache {
                 map: RwLock::new(FastHashMap::default()),
             })
             .collect();
+        let bounded = budget.entries.is_some() || budget.bytes.is_some();
         ConcurrentSubgraphCache {
             shards,
             budget,
             admission: AdmissionPolicy::Always,
-            store: BallStore::Full,
             cold: None,
+            lru: bounded.then(|| Mutex::new(BinaryHeap::new())),
             seen: Box::new([]),
             clock: AtomicU64::new(0),
             resident_entries: AtomicUsize::new(0),
             resident_bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
+            reuse_hits: AtomicU64::new(0),
             shared: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             extractions: AtomicU64::new(0),
@@ -1190,25 +1307,12 @@ impl ConcurrentSubgraphCache {
         self.admission
     }
 
-    /// Sets the [`BallStore`] deciding which representation residents
-    /// keep (builder style; default [`BallStore::Full`]).
-    #[must_use]
-    pub fn with_ball_store(mut self, store: BallStore) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// The configured resident-ball representation.
-    pub fn ball_store(&self) -> BallStore {
-        self.store
-    }
-
     /// Attaches a persisted [`BallIndex`] as this cache's **cold tier**
     /// (builder style): a RAM miss whose `(node, depth)` ball the index
     /// holds is served by one positioned read and decoded into a
-    /// [`CachedBall::Compact`] under every [`BallStore`] (disk-served
-    /// answers stay bit-identical to BFS-served ones, because the
-    /// kernels diffuse both forms alike) and admitted through the normal
+    /// [`CachedBall::Compact`] (disk-served answers stay bit-identical
+    /// to BFS-served ones, because the kernels diffuse both forms alike)
+    /// and admitted through the normal
     /// [`AdmissionPolicy`]/[`CacheBudget`] gates at its compact bytes;
     /// live BFS remains the fallback when the index lacks the ball or
     /// the read fails. Demand lookups and budget probes consult the cold
@@ -1220,16 +1324,12 @@ impl ConcurrentSubgraphCache {
         self
     }
 
-    /// The representation an extracted ball would be stored under: the
-    /// compact form when configured and the ball fits `u16` local ids,
-    /// the full form otherwise.
-    fn store_ball(&self, sub: &Arc<Subgraph>) -> CachedBall {
-        match self.store {
-            BallStore::Full => CachedBall::Full(Arc::clone(sub)),
-            BallStore::Compact => match CompactBall::from_subgraph(sub) {
-                Some(compact) => CachedBall::Compact(Arc::new(compact)),
-                None => CachedBall::Full(Arc::clone(sub)),
-            },
+    /// The form an extracted ball is kept in: compact when it fits `u16`
+    /// local ids, full otherwise.
+    fn store_ball(sub: &Arc<Subgraph>) -> CachedBall {
+        match CompactBall::from_subgraph(sub) {
+            Some(compact) => CachedBall::Compact(Arc::new(compact)),
+            None => CachedBall::Full(Arc::clone(sub)),
         }
     }
 
@@ -1342,7 +1442,7 @@ impl ConcurrentSubgraphCache {
     }
 
     fn seen_slot(&self, key: CacheKey) -> &AtomicU32 {
-        let mixed = ((key.0 as u64) << 32 | key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mixed = key.word().wrapping_mul(FIB);
         // Take the *top* bits: the node id sits in the high half of the
         // pre-multiply key, so low product bits depend only on the depth
         // (the old `>> 13` slot collapsed every same-depth key into one
@@ -1366,10 +1466,11 @@ impl ConcurrentSubgraphCache {
     }
 
     #[inline]
-    fn shard_for(&self, key: CacheKey) -> &Shard {
-        // Fibonacci multiplicative hash of (node, depth); the high bits
+    fn shard_for(&self, key: impl Into<CacheKey>) -> &Shard {
+        let key = key.into();
+        // Fibonacci multiplicative hash of the key word; the high bits
         // decide the stripe so nearby node ids spread out.
-        let mixed = ((key.0 as u64) << 32 | key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mixed = key.word().wrapping_mul(FIB);
         &self.shards[(mixed >> 40) as usize % self.shards.len()]
     }
 
@@ -1445,7 +1546,7 @@ impl ConcurrentSubgraphCache {
     /// the admission half of a
     /// [`probe_ball_with_as`](ConcurrentSubgraphCache::probe_ball_with_as)
     /// that settled on this depth. A BFS-extracted [`CachedBall::Full`]
-    /// is stored in the configured [`BallStore`] form; a ball the cold
+    /// is kept compact when it fits `u16` local ids; a ball the cold
     /// tier served is kept in its decoded compact form. No hit/miss is
     /// counted and no BFS runs, but this **is** the executed ball's one
     /// demand sighting: the frequency sketch is bumped here (probes never
@@ -1463,18 +1564,82 @@ impl ConcurrentSubgraphCache {
         ball: &CachedBall,
         consumer: &CacheConsumer,
     ) {
-        let key = (node, depth);
-        {
-            let shard = self.shard_for(key);
-            let map = self.shard_read(shard);
-            if map.contains_key(&key) {
-                return;
-            }
-        }
-        let stored = match ball {
-            CachedBall::Full(sub) => self.store_ball(sub),
-            CachedBall::Compact(_) => ball.clone(),
+        self.admit_resident(
+            CacheKey::Ball(node, depth),
+            ball.num_nodes(),
+            || {
+                match ball {
+                    CachedBall::Full(sub) => Self::store_ball(sub),
+                    CachedBall::Compact(_) => ball.clone(),
+                }
+                .into()
+            },
+            consumer,
+        );
+    }
+
+    /// The stored output of the stage task `key` names, if resident: a
+    /// hit counts as the task's one lookup (a hit, and a reuse hit, for
+    /// the cache and for `consumer`) and refreshes the entry's recency.
+    /// A miss counts nothing; the task's ball lookup that follows does.
+    pub(crate) fn get_result(
+        &self,
+        key: ResultKey,
+        consumer: &CacheConsumer,
+    ) -> Option<Arc<StageResult>> {
+        let key = CacheKey::Result(key);
+        let result = {
+            let map = self.shard_read(self.shard_for(key));
+            let entry = map.get(&key)?;
+            let Some(Resident::Result(result)) = entry.published.get() else {
+                return None;
+            };
+            let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+            entry.last_used.store(stamp, Ordering::Relaxed);
+            Arc::clone(result)
         };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.reuse_hits.fetch_add(1, Ordering::Relaxed);
+        consumer.on_reuse_hit();
+        Some(result)
+    }
+
+    /// Stores a stage task's output after the task ran, through the same
+    /// gates as a ball: `nodes` is the node count of the ball it was
+    /// diffused on (what a size gate compares), the sketch counts this
+    /// as the key's demand sighting, and the result is charged its
+    /// measured bytes. Refusals count as `rejected_admissions`; a no-op
+    /// when the key is already resident.
+    pub(crate) fn admit_result(
+        &self,
+        key: ResultKey,
+        result: StageResult,
+        nodes: usize,
+        consumer: &CacheConsumer,
+    ) {
+        self.admit_resident(
+            CacheKey::Result(key),
+            nodes,
+            || Resident::Result(Arc::new(result)),
+            consumer,
+        );
+    }
+
+    /// The admission core of [`ConcurrentSubgraphCache::admit`] and
+    /// [`ConcurrentSubgraphCache::admit_result`]: builds the resident
+    /// only when the key is absent, applies the policy and budget, and
+    /// publishes it.
+    fn admit_resident(
+        &self,
+        key: CacheKey,
+        nodes: usize,
+        resident: impl FnOnce() -> Resident,
+        consumer: &CacheConsumer,
+    ) {
+        if self.shard_read(self.shard_for(key)).contains_key(&key) {
+            return;
+        }
+        let stored = resident();
         let (seen_before, candidate_freq) = if !self.admission.needs_seen_tracking() {
             (true, u32::MAX)
         } else {
@@ -1482,8 +1647,8 @@ impl ConcurrentSubgraphCache {
             (count > 1, count)
         };
         let bytes = stored.memory_bytes_total();
-        let admitted = self.admission.size_gate(ball.num_nodes(), seen_before)
-            && self.reserve_residency(key, bytes, candidate_freq);
+        let admitted = self.admission.size_gate(nodes, seen_before)
+            && self.reserve_residency(bytes, candidate_freq);
         if !admitted {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             consumer.rejected.fetch_add(1, Ordering::Relaxed);
@@ -1491,25 +1656,29 @@ impl ConcurrentSubgraphCache {
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Entry::pending(stamp);
-        let shard = self.shard_for(key);
-        let mut map = self.shard_write(shard);
-        if map.contains_key(&key) {
-            // Raced with a concurrent installer: release the reservation.
-            self.resident_entries.fetch_sub(1, Ordering::Relaxed);
-            self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            return;
+        {
+            let shard = self.shard_for(key);
+            let mut map = self.shard_write(shard);
+            if map.contains_key(&key) {
+                // Raced with a concurrent installer: release the
+                // reservation.
+                self.resident_entries.fetch_sub(1, Ordering::Relaxed);
+                self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
+                return;
+            }
+            // Charge and publish before the entry becomes map-visible
+            // (all under the shard write lock), preserving the invariant
+            // that an in-map published entry is exactly charged. No
+            // waiter can exist before insertion, so no notify is needed.
+            entry.charged_bytes.store(bytes, Ordering::Relaxed);
+            entry
+                .published
+                .set(stored)
+                .unwrap_or_else(|_| unreachable!("entry is freshly created"));
+            *self.entry_state(&entry) = EntryState::Ready;
+            map.insert(key, Arc::clone(&entry));
         }
-        // Charge and publish before the entry becomes map-visible (all
-        // under the shard write lock), preserving the invariant that an
-        // in-map published entry is exactly charged. No waiter can exist
-        // before insertion, so no notify is needed.
-        entry.charged_bytes.store(bytes, Ordering::Relaxed);
-        entry
-            .published
-            .set(stored)
-            .unwrap_or_else(|_| unreachable!("entry is freshly created"));
-        *self.entry_state(&entry) = EntryState::Ready;
-        map.insert(key, entry);
+        self.lru_push(key, &entry);
     }
 
     /// Pre-extracts the ball around `(node, depth)` through `scratch`
@@ -1568,7 +1737,7 @@ impl ConcurrentSubgraphCache {
         G: GraphView + ?Sized,
         F: FnOnce(&G, Option<&BallIndex>) -> Result<ExtractedBall>,
     {
-        let key = (node, depth);
+        let key = CacheKey::Ball(node, depth);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let shard = self.shard_for(key);
 
@@ -1605,7 +1774,7 @@ impl ConcurrentSubgraphCache {
                 // exclusive lock (OnceLock::get is a lock-free load once
                 // set), so concurrent hits on one hot ball never
                 // serialize.
-                if let Some(ball) = entry.published.get() {
+                if let Some(ball) = entry.ball() {
                     if mode != LookupMode::Warming {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         if let Some(c) = consumer {
@@ -1624,7 +1793,7 @@ impl ConcurrentSubgraphCache {
                                     c.on_shared();
                                 }
                             }
-                            let ball = entry.published.get().expect("ready entry published");
+                            let ball = entry.ball().expect("ready ball entry published");
                             return Ok((ball.clone(), 0));
                         }
                         EntryState::Pending => {
@@ -1747,7 +1916,7 @@ impl ConcurrentSubgraphCache {
                                 self.count_extraction(consumer, mode);
                                 let sub = Arc::new(sub);
                                 let nodes = sub.num_nodes();
-                                let stored = self.store_ball(&sub);
+                                let stored = Self::store_ball(&sub);
                                 (stored, CachedBall::Full(sub), nodes, work)
                             }
                         };
@@ -1759,7 +1928,7 @@ impl ConcurrentSubgraphCache {
                         // configured). Probes never admit.
                         let admitted = mode != LookupMode::Probe
                             && self.admission.size_gate(nodes, seen_before)
-                            && self.reserve_residency(key, bytes, candidate_freq);
+                            && self.reserve_residency(bytes, candidate_freq);
                         if !admitted {
                             // Rejected: remove the entry from the map
                             // BEFORE publishing, so a rejected ball is
@@ -1786,7 +1955,7 @@ impl ConcurrentSubgraphCache {
                             }
                             entry
                                 .published
-                                .set(served.clone())
+                                .set(served.clone().into())
                                 .unwrap_or_else(|_| unreachable!("only the winner publishes"));
                         } else {
                             // Publish under the shard write lock so the
@@ -1809,8 +1978,12 @@ impl ConcurrentSubgraphCache {
                             }
                             entry
                                 .published
-                                .set(stored)
+                                .set(stored.into())
                                 .unwrap_or_else(|_| unreachable!("only the winner publishes"));
+                            drop(map);
+                            if still_resident {
+                                self.lru_push(key, &entry);
+                            }
                         }
                         {
                             let mut state = self.entry_state(&entry);
@@ -1894,20 +2067,23 @@ impl ConcurrentSubgraphCache {
     /// On `true`, both global counters have been advanced via CAS while
     /// their bound held, so a configured budget is **never** exceeded —
     /// not even transiently under concurrent inserts.
-    fn reserve_residency(&self, keep: CacheKey, bytes: usize, candidate_freq: u32) -> bool {
+    fn reserve_residency(&self, bytes: usize, candidate_freq: u32) -> bool {
         if self.budget.bytes.is_some_and(|cap| bytes > cap) {
             return false;
         }
+        let Some(lru) = &self.lru else {
+            // Unbounded: nothing to evict, and the reservation fits.
+            return self.try_reserve(bytes);
+        };
         let victim_gate = matches!(self.admission, AdmissionPolicy::FrequencyVsVictim);
         loop {
             if self.try_reserve(bytes) {
                 return true;
             }
-            // Plan the complete victim set in ONE scan (LRU-first), so
-            // admission costs one cache walk rather than one per
-            // eviction — and so the frequency gate can veto the whole
-            // plan before anything is evicted.
-            let Some(victims) = self.plan_victims(keep, bytes) else {
+            let mut heap = self.lru_heap(lru);
+            // Plan the complete victim set (LRU-first) before evicting
+            // anything, so the frequency gate can veto the whole plan.
+            let Some(victims) = self.plan_victims(&mut heap, bytes) else {
                 return false;
             };
             if victims.is_empty() {
@@ -1915,18 +2091,45 @@ impl ConcurrentSubgraphCache {
                 // plan (another thread freed room): just retry.
                 continue;
             }
-            if victim_gate
-                && victims
-                    .iter()
-                    .any(|&victim| self.sketch_frequency(victim) >= candidate_freq)
-            {
+            let vetoed = victim_gate
+                && victims.iter().any(|&Reverse((_, victim, _))| {
+                    self.sketch_frequency(victim) >= candidate_freq
+                });
+            if vetoed {
+                heap.extend(victims);
                 return false;
             }
-            for victim in victims {
-                // If a victim vanished meanwhile (a concurrent evicter
-                // got it first), the outer retry re-plans.
-                self.try_evict(victim);
-            }
+            // Evicted entries are dropped (their storage freed) after
+            // the heap lock is released.
+            let evicted: Vec<Arc<Entry>> = victims
+                .into_iter()
+                .filter_map(|Reverse((_, victim, id))| self.try_evict(victim, id))
+                .collect();
+            drop(heap);
+            drop(evicted);
+        }
+    }
+
+    /// Locks the LRU heap. The heap holds plain `(stamp, key, id)`
+    /// items and every repair is local, so a panic that poisoned the
+    /// lock left nothing half-written: recover and count it.
+    fn lru_heap<'h>(
+        &self,
+        lru: &'h Mutex<BinaryHeap<LruItem>>,
+    ) -> std::sync::MutexGuard<'h, BinaryHeap<LruItem>> {
+        lru.lock().unwrap_or_else(|poisoned| {
+            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            lru.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// Pushes a just-published entry's heap item. Called after the
+    /// shard lock that published it is released.
+    fn lru_push(&self, key: CacheKey, entry: &Entry) {
+        if let Some(lru) = &self.lru {
+            let stamp = entry.last_used.load(Ordering::Relaxed);
+            self.lru_heap(lru).push(Reverse((stamp, key, entry.id)));
         }
     }
 
@@ -1964,34 +2167,20 @@ impl ConcurrentSubgraphCache {
         }
     }
 
-    /// The least-recently-stamped published entries (other than `keep`)
-    /// whose eviction would let a `bytes`-sized candidate fit, in
-    /// eviction order. Equal stamps break ties by smallest key so
-    /// single-threaded eviction order is reproducible. Returns `None`
-    /// when even evicting every candidate victim cannot make room
-    /// (admission should reject); an empty plan means the budget
-    /// already fits.
+    /// Pops, in eviction order, the least-recently-stamped published
+    /// entries whose eviction would let a `bytes`-sized candidate fit,
+    /// repairing the heap lazily on the way: an item whose entry is gone
+    /// is dropped, and an item whose entry was touched since it was
+    /// pushed goes back with the entry's current stamp. The popped
+    /// victims are returned (and are out of the heap); the caller evicts
+    /// them or pushes them back. Returns `None`, with the heap restored,
+    /// when even evicting every resident cannot make room (admission
+    /// should reject); an empty plan means the budget already fits.
     ///
-    /// The residents are heapified and victims popped until the
-    /// candidate fits: `O(R + v log R)` for `v` victims among `R`
-    /// residents, where a full sort costs `O(R log R)` on every
-    /// eviction. Keys are unique, so the pop order is the sort order.
-    fn plan_victims(&self, keep: CacheKey, bytes: usize) -> Option<Vec<CacheKey>> {
-        let mut residents: Vec<Reverse<(u64, CacheKey, usize)>> = Vec::new();
-        for shard in self.shards.iter() {
-            let map = self.shard_read(shard);
-            for (&key, entry) in map.iter() {
-                if key == keep || entry.published.get().is_none() {
-                    continue;
-                }
-                residents.push(Reverse((
-                    entry.last_used.load(Ordering::Relaxed),
-                    key,
-                    entry.charged_bytes.load(Ordering::Relaxed),
-                )));
-            }
-        }
-        let mut residents = BinaryHeap::from(residents);
+    /// Each item's stamp is at most its entry's, so an item whose stamp
+    /// is current is the true `(stamp, key)` minimum among residents:
+    /// the order equals a full sort's, at `O(log R)` per pop.
+    fn plan_victims(&self, heap: &mut BinaryHeap<LruItem>, bytes: usize) -> Option<Vec<LruItem>> {
         let mut entries_left = self.resident_entries.load(Ordering::Relaxed);
         let mut bytes_left = self.resident_bytes.load(Ordering::Relaxed);
         let mut plan = Vec::new();
@@ -2004,30 +2193,53 @@ impl ConcurrentSubgraphCache {
             if entries_fit && bytes_fit {
                 return Some(plan);
             }
-            let Reverse((_, key, charged)) = residents.pop()?;
-            plan.push(key);
-            entries_left = entries_left.saturating_sub(1);
-            bytes_left = bytes_left.saturating_sub(charged);
+            let Some(Reverse((pushed, key, id))) = heap.pop() else {
+                heap.extend(plan);
+                return None;
+            };
+            let current = {
+                let map = self.shard_read(self.shard_for(key));
+                map.get(&key)
+                    .filter(|entry| entry.id == id && entry.published.get().is_some())
+                    .map(|entry| {
+                        (
+                            entry.last_used.load(Ordering::Relaxed),
+                            entry.charged_bytes.load(Ordering::Relaxed),
+                        )
+                    })
+            };
+            match current {
+                // Evicted or cleared since it was pushed: drop the item.
+                None => {}
+                Some((stamp, _)) if stamp > pushed => heap.push(Reverse((stamp, key, id))),
+                Some((_, charged)) => {
+                    plan.push(Reverse((pushed, key, id)));
+                    entries_left = entries_left.saturating_sub(1);
+                    bytes_left = bytes_left.saturating_sub(charged);
+                }
+            }
         }
     }
 
-    /// Evicts `key` if it is still a published resident, releasing its
-    /// budget reservation. Returns whether an eviction happened.
-    fn try_evict(&self, key: CacheKey) -> bool {
+    /// Evicts the entry `id` under `key` if it is still a published
+    /// resident, releasing its budget reservation. Returns the evicted
+    /// entry (`None` if it was gone), for the caller to drop once its
+    /// locks are released.
+    fn try_evict(&self, key: CacheKey, id: u64) -> Option<Arc<Entry>> {
         let shard = self.shard_for(key);
         let mut map = self.shard_write(shard);
         let is_resident = map
             .get(&key)
-            .is_some_and(|entry| entry.published.get().is_some());
+            .is_some_and(|entry| entry.id == id && entry.published.get().is_some());
         if !is_resident {
-            return false;
+            return None;
         }
-        let entry = map.remove(&key).expect("checked above");
+        let entry = map.remove(&key)?;
         let bytes = entry.charged_bytes.swap(0, Ordering::Relaxed);
         self.resident_entries.fetch_sub(1, Ordering::Relaxed);
         self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        true
+        Some(entry)
     }
 
     /// A consistent-enough snapshot of the always-on counters (relaxed
@@ -2035,6 +2247,7 @@ impl ConcurrentSubgraphCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
+            reuse_hits: self.reuse_hits.load(Ordering::Relaxed),
             shared: self.shared.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             extractions: self.extractions.load(Ordering::Relaxed),
@@ -2046,9 +2259,25 @@ impl ConcurrentSubgraphCache {
         }
     }
 
-    /// Resident entries across all shards (ready and in-flight).
+    /// Resident entries across all shards (ready and in-flight), balls
+    /// and stage results together.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| self.shard_read(s).len()).sum()
+    }
+
+    /// Resident stage results (a subset of
+    /// [`ConcurrentSubgraphCache::len`]; O(residents), takes every shard
+    /// read lock). `len() - resident_results()` is the resident balls.
+    pub fn resident_results(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                self.shard_read(s)
+                    .keys()
+                    .filter(|key| matches!(key, CacheKey::Result(_)))
+                    .count()
+            })
+            .sum()
     }
 
     /// Whether no entry is resident.
@@ -2065,8 +2294,8 @@ impl ConcurrentSubgraphCache {
     }
 
     /// Resident bytes recomputed by summing every published entry's
-    /// measured [`CachedBall::memory_bytes_total`] (O(residents), takes
-    /// every shard read lock). Once lookups quiesce this equals
+    /// measured bytes ([`CachedBall::memory_bytes_total`] for a ball)
+    /// (O(residents), takes every shard read lock). Once lookups quiesce this equals
     /// [`ConcurrentSubgraphCache::resident_bytes`] — asserted by the
     /// accounting property tests.
     pub fn resident_bytes_exact(&self) -> usize {
@@ -2076,7 +2305,7 @@ impl ConcurrentSubgraphCache {
                 self.shard_read(s)
                     .values()
                     .filter_map(|entry| entry.published.get())
-                    .map(|ball| ball.memory_bytes_total())
+                    .map(Resident::memory_bytes_total)
                     .sum::<usize>()
             })
             .sum()
@@ -2085,6 +2314,13 @@ impl ConcurrentSubgraphCache {
     /// Drops every resident entry (statistics are kept). In-flight
     /// extractions complete normally; their waiters are still served.
     pub fn clear(&self) {
+        // Hold the LRU heap across the whole clear (heap before shard
+        // locks, the one order): an entry published meanwhile is either
+        // cleared here or pushed after the heap is emptied.
+        let mut heap = self.lru.as_ref().map(|lru| self.lru_heap(lru));
+        if let Some(heap) = heap.as_mut() {
+            heap.clear();
+        }
         for shard in self.shards.iter() {
             let mut map = self.shard_write(shard);
             for entry in map.values() {
@@ -2107,29 +2343,27 @@ mod tests {
     use super::*;
     use meloppr_graph::generators;
 
-    /// A demand lookup through throwaway scratch buffers, unwrapping the
-    /// full ball: every cache in these tests keeps the default
-    /// [`BallStore::Full`] and has no cold tier, so BFS-served balls are
-    /// always full.
+    /// Ball keys as these tests name them: `(node, depth)`.
+    type CacheKey = (NodeId, u32);
+
+    /// A demand lookup through throwaway scratch buffers. No cache in
+    /// these tests has a cold tier, so a miss serves the full extraction
+    /// it made and a hit the compact resident.
     pub(super) fn get<G: GraphView + ?Sized>(
         cache: &ConcurrentSubgraphCache,
         g: &G,
         node: NodeId,
         depth: u32,
         consumer: &CacheConsumer,
-    ) -> Result<(Arc<Subgraph>, usize)> {
-        let (ball, work) = cache.get_ball_with_as(
+    ) -> Result<(CachedBall, usize)> {
+        cache.get_ball_with_as(
             g,
             node,
             depth,
             &mut ExtractScratch::new(),
             &mut Vec::new(),
             consumer,
-        )?;
-        match ball {
-            CachedBall::Full(sub) => Ok((sub, work)),
-            CachedBall::Compact(_) => panic!("a BFS-served ball is full under BallStore::Full"),
-        }
+        )
     }
 
     /// As [`get`], attributed to a throwaway consumer (the tests that use
@@ -2139,8 +2373,33 @@ mod tests {
         g: &G,
         node: NodeId,
         depth: u32,
-    ) -> Result<(Arc<Subgraph>, usize)> {
+    ) -> Result<(CachedBall, usize)> {
         get(cache, g, node, depth, &CacheConsumer::default())
+    }
+
+    /// Whether two served balls are the same resident (`Arc` identity).
+    pub(super) fn same(a: &CachedBall, b: &CachedBall) -> bool {
+        match (a, b) {
+            (CachedBall::Full(a), CachedBall::Full(b)) => Arc::ptr_eq(a, b),
+            (CachedBall::Compact(a), CachedBall::Compact(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The full sub-graph a miss served.
+    pub(super) fn full(ball: &CachedBall) -> &Subgraph {
+        match ball {
+            CachedBall::Full(sub) => sub,
+            CachedBall::Compact(_) => panic!("a BFS miss serves the full extraction"),
+        }
+    }
+
+    /// The compact bytes the cache charges for the BFS ball `(node, depth)`.
+    pub(super) fn compact_bytes<G: GraphView + ?Sized>(g: &G, node: NodeId, depth: u32) -> usize {
+        let sub = Subgraph::extract(g, &meloppr_graph::bfs_ball(g, node, depth).unwrap()).unwrap();
+        CompactBall::from_subgraph(&sub)
+            .unwrap()
+            .memory_bytes_total()
     }
 
     #[test]
@@ -2150,20 +2409,28 @@ mod tests {
         let consumer = CacheConsumer::default();
         let (a, work_a) = get(&cache, &g, 0, 2, &consumer).unwrap();
         let (b, work_b) = get(&cache, &g, 0, 2, &consumer).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let (c, _) = get(&cache, &g, 0, 2, &consumer).unwrap();
+        // The miss serves its full extraction; hits share the compact
+        // resident.
+        assert!(matches!(a, CachedBall::Full(_)));
+        assert!(matches!(b, CachedBall::Compact(_)));
+        assert!(same(&b, &c));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
         let stats = consumer.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]
     fn different_depths_are_distinct_entries() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(4);
+        demand(&cache, &g, 0, 1).unwrap();
+        demand(&cache, &g, 0, 2).unwrap();
         let (a, _) = demand(&cache, &g, 0, 1).unwrap();
         let (b, _) = demand(&cache, &g, 0, 2).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!same(&a, &b));
+        assert!(a.num_nodes() < b.num_nodes());
         assert_eq!(cache.len(), 2);
     }
 
@@ -2195,8 +2462,12 @@ mod tests {
                 cache
                     .shard_read(shard)
                     .iter()
-                    .filter(|(_, entry)| entry.published.get().is_some())
-                    .map(|(&key, _)| key)
+                    .filter_map(|(&key, entry)| match key {
+                        super::CacheKey::Ball(node, depth) if entry.published.get().is_some() => {
+                            Some((node, depth))
+                        }
+                        _ => None,
+                    })
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -2207,9 +2478,9 @@ mod tests {
     #[test]
     fn single_threaded_eviction_is_strict_lru_across_shards() {
         // One global clock stamps the entries of every shard, and
-        // eviction heapifies the residents of all shards, so a single
-        // thread sees strict LRU order even when the residents live in
-        // different shards.
+        // eviction pops one LRU heap over the residents of all shards,
+        // so a single thread sees strict LRU order even when the
+        // residents live in different shards.
         let g = generators::path(64).unwrap();
         let cache = ConcurrentSubgraphCache::with_shards(4, 16);
         assert_eq!(cache.shard_count(), 16);
@@ -2276,7 +2547,7 @@ mod tests {
 
 #[cfg(test)]
 mod concurrent_tests {
-    use super::tests::{demand, get};
+    use super::tests::{compact_bytes, demand, full, get, same};
     use super::*;
     use meloppr_graph::{bfs_ball, generators};
 
@@ -2284,15 +2555,16 @@ mod concurrent_tests {
     fn concurrent_hits_share_one_extraction() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(16);
-        let (a, work_a) = demand(&cache, &g, 0, 2).unwrap();
+        let (_, work_a) = demand(&cache, &g, 0, 2).unwrap();
         let (b, work_b) = demand(&cache, &g, 0, 2).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let (c, _) = demand(&cache, &g, 0, 2).unwrap();
+        assert!(same(&b, &c));
         assert!(work_a > 0);
         assert_eq!(work_b, 0);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.extractions), (1, 1, 1));
-        assert_eq!(stats.lookups(), 2);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((stats.hits, stats.misses, stats.extractions), (2, 1, 1));
+        assert_eq!(stats.lookups(), 3);
+        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -2301,6 +2573,7 @@ mod concurrent_tests {
         let cache = ConcurrentSubgraphCache::new(8);
         for (seed, depth) in [(0u32, 2), (17, 3), (34, 1), (5, 0)] {
             let (cached, _) = demand(&cache, &g, seed, depth).unwrap();
+            let cached = full(&cached);
             let ball = bfs_ball(&g, seed, depth).unwrap();
             let fresh = Subgraph::extract(&g, &ball).unwrap();
             assert_eq!(cached.global_ids(), fresh.global_ids());
@@ -2324,11 +2597,12 @@ mod concurrent_tests {
         let mut cold_buf = Vec::new();
         for (seed, depth) in [(14u32, 2), (0, 1), (35, 3)] {
             let (a, wa) = demand(&plain, &g, seed, depth).unwrap();
+            let a = full(&a);
             let (CachedBall::Full(b), wb) = scratched
                 .get_ball_with_as(&g, seed, depth, &mut scratch, &mut cold_buf, &consumer)
                 .unwrap()
             else {
-                panic!("a BFS-served ball is full under BallStore::Full");
+                panic!("a BFS miss serves the full extraction");
             };
             assert_eq!(wa, wb);
             assert_eq!(wa, bfs_ball(&g, seed, depth).unwrap().edges_scanned);
@@ -2648,12 +2922,9 @@ mod concurrent_tests {
     #[test]
     fn byte_budget_evicts_until_candidate_fits() {
         let g = generators::path(64).unwrap();
-        // A depth-1 path ball (≤ 3 nodes) costs a fixed number of bytes;
-        // budget exactly two of them.
-        let one = Subgraph::extract(&g, &bfs_ball(&g, 10, 1).unwrap())
-            .unwrap()
-            .memory_bytes()
-            .total();
+        // A depth-1 path ball (≤ 3 nodes) costs a fixed number of
+        // compact bytes; budget exactly two of them.
+        let one = compact_bytes(&g, 10, 1);
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::bytes(2 * one), 1);
         assert_eq!(cache.budget(), CacheBudget::bytes(2 * one));
         demand(&cache, &g, 10, 1).unwrap();
@@ -2690,10 +2961,7 @@ mod concurrent_tests {
     #[test]
     fn entry_and_byte_budgets_compose() {
         let g = generators::path(64).unwrap();
-        let one = Subgraph::extract(&g, &bfs_ball(&g, 10, 1).unwrap())
-            .unwrap()
-            .memory_bytes()
-            .total();
+        let one = compact_bytes(&g, 10, 1);
         // Bytes would allow 4 balls; entries cap at 2 — the tighter
         // bound governs.
         let cache = ConcurrentSubgraphCache::with_budget_and_shards(
@@ -2741,14 +3009,8 @@ mod concurrent_tests {
     #[test]
     fn tinylfu_rejection_never_evicts_even_when_multiple_victims_were_needed() {
         let g = generators::path(64).unwrap();
-        let small = Subgraph::extract(&g, &bfs_ball(&g, 10, 1).unwrap())
-            .unwrap()
-            .memory_bytes()
-            .total();
-        let big = Subgraph::extract(&g, &bfs_ball(&g, 50, 2).unwrap())
-            .unwrap()
-            .memory_bytes()
-            .total();
+        let small = compact_bytes(&g, 10, 1);
+        let big = compact_bytes(&g, 50, 2);
         // The candidate must need BOTH residents evicted to fit.
         assert!(small < big && big <= 2 * small, "setup: S < big <= 2S");
         let cache =
@@ -2804,24 +3066,69 @@ mod concurrent_tests {
         assert_eq!(consumer.stats().misses, 1);
         assert_eq!(consumer.stats().extractions, 1);
         assert_eq!(cache.stats().rejected_admissions, 0, "not a rejection");
-        // Explicit admission makes it resident without a lookup or BFS.
+        // Explicit admission makes it resident (compact) without a
+        // lookup or BFS.
         cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.resident_bytes(), sub.memory_bytes().total());
+        let compact = CompactBall::from_subgraph(sub).unwrap();
+        assert_eq!(cache.resident_bytes(), compact.memory_bytes_total());
         assert_eq!(cache.stats().extractions, 1);
         // The admitted ball now hits — for probes and demand alike.
         let (again, work) = cache
             .probe_ball_with_as(&g, 10, 2, &mut scratch, &mut cold_buf, &consumer)
             .unwrap();
-        let CachedBall::Full(again) = again else {
-            panic!("a full resident is served full");
+        let CachedBall::Compact(again) = again else {
+            panic!("the resident is compact");
         };
-        assert!(Arc::ptr_eq(sub, &again));
+        assert_eq!(*again, compact);
         assert_eq!(work, 0);
         assert_eq!(consumer.stats().hits, 1);
         // Re-admitting is a no-op.
         cache.admit(10, 2, &ball, &consumer);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The LRU heap's lazy repair: a hit between admissions leaves the
+    /// entry's heap item stale, and the eviction that pops it pushes it
+    /// back at its new stamp instead of evicting it. A TinyLFU veto puts
+    /// every planned victim back: nothing is evicted and the heap keeps
+    /// one item per resident.
+    #[test]
+    fn lazy_heap_repairs_hits_and_vetoes_restore_victims() {
+        let g = generators::path(64).unwrap();
+        let cache = ConcurrentSubgraphCache::with_budget_and_shards(CacheBudget::entries(3), 2)
+            .with_admission(AdmissionPolicy::FrequencyVsVictim);
+        let heap_len =
+            |cache: &ConcurrentSubgraphCache| cache.lru_heap(cache.lru.as_ref().unwrap()).len();
+        for node in [10u32, 20, 30] {
+            demand(&cache, &g, node, 1).unwrap();
+        }
+        demand(&cache, &g, 10, 1).unwrap(); // a hit: 10's item is stale
+        assert_eq!(heap_len(&cache), 3);
+        // First sighting of 40 ties the LRU victim (20, not the re-hit
+        // 10): vetoed, nothing evicted, the victim back in the heap.
+        demand(&cache, &g, 40, 1).unwrap();
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.stats().rejected_admissions, 1);
+        assert_eq!(heap_len(&cache), 3);
+        // Second sighting beats it: 20 goes, the repaired 10 stays.
+        demand(&cache, &g, 40, 1).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        let hits = cache.stats().hits;
+        for node in [10u32, 30, 40] {
+            demand(&cache, &g, node, 1).unwrap();
+        }
+        assert_eq!(cache.stats().hits, hits + 3, "10, 30 and 40 stay resident");
+        assert_eq!(heap_len(&cache), 3, "one heap item per resident");
+        // A clear empties the heap with the shards.
+        cache.clear();
+        assert_eq!(heap_len(&cache), 0);
+        assert!(ConcurrentSubgraphCache::new(4).lru.is_some());
+        assert!(
+            ConcurrentSubgraphCache::with_budget(CacheBudget::unbounded())
+                .lru
+                .is_none()
+        );
     }
 
     #[test]
@@ -2871,8 +3178,9 @@ mod concurrent_tests {
     fn poisoned_shard_recovers_clear_and_continue() {
         let g = generators::karate_club();
         let cache = ConcurrentSubgraphCache::new(8);
+        demand(&cache, &g, 0, 2).unwrap();
         let (first, work) = demand(&cache, &g, 0, 2).unwrap();
-        assert!(work > 0);
+        assert_eq!(work, 0);
         // Poison the shard holding (0, 2) by panicking while its write
         // lock is held — the worst-case co-tenant failure.
         let shard = cache.shard_for((0, 2));
@@ -2885,16 +3193,18 @@ mod concurrent_tests {
         // The next lookup recovers clear-and-continue: the shard's
         // residents were dropped (budget released), the lookup
         // re-extracts, and the recovery is counted.
-        let (second, work) = demand(&cache, &g, 0, 2).unwrap();
+        let (_, work) = demand(&cache, &g, 0, 2).unwrap();
         assert!(work > 0, "cleared shard must re-extract");
-        assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(cache.poison_recoveries(), 1);
         assert!(!shard.map.is_poisoned());
         // Accounting stayed exact through the clear.
         assert_eq!(cache.resident_bytes(), cache.resident_bytes_exact());
-        // And the cache keeps serving: a re-hit shares the new resident.
-        let (third, work) = demand(&cache, &g, 0, 2).unwrap();
-        assert!(Arc::ptr_eq(&second, &third));
+        // And the cache keeps serving: a re-hit shares the new resident,
+        // not the one the recovery dropped.
+        let (second, work) = demand(&cache, &g, 0, 2).unwrap();
+        let (third, _) = demand(&cache, &g, 0, 2).unwrap();
+        assert!(same(&second, &third));
+        assert!(!same(&first, &second));
         assert_eq!(work, 0);
     }
 

@@ -26,7 +26,8 @@
 //! * [`cache`] — sub-graph caching on one core: the
 //!   [`ConcurrentSubgraphCache`], a sharded, lock-striped, singleflight
 //!   cache shared by all batch workers so hot balls in skewed traffic
-//!   are extracted once and reused zero-copy (attach with
+//!   are extracted once and reused zero-copy, and a repeated stage task
+//!   merges its stored result instead of diffusing again (attach with
 //!   [`backend::Meloppr::with_shared_cache`]), governed by a
 //!   byte-and/or-entry [`CacheBudget`] that is never exceeded;
 //! * [`ballindex`] — the disk half of the two-tier ball store: an
@@ -34,9 +35,9 @@
 //!   ([`build_index`]) that the cache's cold tier
 //!   ([`ConcurrentSubgraphCache::with_cold_tier`]) serves RAM misses
 //!   from with one positioned read ([`BallIndex`]), serving the decoded
-//!   compact ball as-is under every [`BallStore`] (it diffuses to the
-//!   same bits as the BFS-extracted sub-graph) and falling back to live
-//!   BFS only when the index lacks the node or its depth;
+//!   compact ball as-is (it diffuses to the same bits as the
+//!   BFS-extracted sub-graph) and falling back to live BFS only when the
+//!   index lacks the node or its depth;
 //! * [`diffusion`] — the `GD(l)` kernel producing accumulated (`πa`) and
 //!   residual (`πr`) scores (Eq. 1, Fig. 3(b)), with
 //!   [`diffuse_into`] computing into caller-owned scratch, over the full
@@ -189,8 +190,8 @@ pub use backend::{
 };
 pub use ballindex::{build_index, BallIndex, IndexBuildReport};
 pub use cache::{
-    AdmissionPolicy, BallStore, CacheBudget, CacheConsumer, CacheStats, CachedBall,
-    ConcurrentSubgraphCache, ConsumerStats,
+    AdmissionPolicy, CacheBudget, CacheConsumer, CacheStats, CachedBall, ConcurrentSubgraphCache,
+    ConsumerStats,
 };
 pub use diffusion::{
     diffuse, diffuse_from_seed, diffuse_into, DiffusionConfig, DiffusionOutput, DiffusionScratch,

@@ -30,6 +30,7 @@ use crate::memory::{cpu_task_memory_width, meloppr_cpu_peak, meloppr_fpga_peak, 
 use crate::params::{MelopprParams, ResidualPolicy};
 use crate::quantized::{diffuse_ball, BallRef, PrecisionClass, QuantScratchSet};
 use crate::score_vec::Ranking;
+use crate::selection::SelectionStrategy;
 use crate::workspace::QueryWorkspace;
 
 /// Default global-table factor used for FPGA memory estimates when the
@@ -62,6 +63,11 @@ pub struct DiffusionRecord {
 pub struct StageStats {
     /// Number of diffusions run in this stage.
     pub diffusions: usize,
+    /// Tasks of this stage served by a stored stage result from the
+    /// shared cache instead of a diffusion. `diffusions + reused` is the
+    /// stage's task count; every other counter here except `candidates`
+    /// and `expanded` counts only the diffusions that ran.
+    pub reused: usize,
     /// Total next-stage candidates (non-zero residual entries) produced.
     pub candidates: usize,
     /// Candidates actually expanded into the next stage.
@@ -171,6 +177,165 @@ pub(crate) struct TaskOutput {
     pub(crate) record: DiffusionRecord,
     /// Non-zero residual candidates seen (before selection).
     pub(crate) candidates: usize,
+}
+
+/// The key of a stored stage result: everything a stage task's
+/// unweighted output depends on besides the graph. Two tasks with equal
+/// keys diffuse the same ball from the same unit seed for the same
+/// length, adjust and select identically, and so produce the same
+/// output up to their weights.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct ResultKey {
+    pub(crate) node: NodeId,
+    /// Diffusion length (= ball depth: result tasks never segment).
+    len: u32,
+    /// Whether the stage is the last (no selection, no children).
+    last: bool,
+    /// Precision rung: tag and fixed-point `q`.
+    rung: (u8, u8),
+    /// `α` as bits.
+    alpha: u64,
+    /// Selection strategy: tag and parameter bits.
+    selection: (u8, u64),
+    /// Residual policy tag.
+    policy: u8,
+}
+
+impl ResultKey {
+    /// The query-wide part of every task's key: rung, `α`, selection
+    /// and residual policy (node, length and last-stage flag are set per
+    /// task by [`ResultKey::for_task`]).
+    fn for_query(params: &MelopprParams, class: PrecisionClass) -> Self {
+        let rung = match class {
+            PrecisionClass::Exact64 => (0, 0),
+            PrecisionClass::Fast32 => (1, 0),
+            PrecisionClass::Fixed(q) => (2, q),
+        };
+        let selection = match params.selection {
+            SelectionStrategy::All => (0, 0),
+            SelectionStrategy::TopFraction(f) => (1, f.to_bits()),
+            SelectionStrategy::TopCount(n) => (2, n as u64),
+            SelectionStrategy::RelativeThreshold(t) => (3, t.to_bits()),
+        };
+        let policy = match params.residual_policy {
+            ResidualPolicy::KeepUnexpanded => 0,
+            ResidualPolicy::DropUnexpanded => 1,
+            ResidualPolicy::ScaledKeep => 2,
+        };
+        ResultKey {
+            node: 0,
+            len: 0,
+            last: false,
+            rung,
+            alpha: params.ppr.alpha.to_bits(),
+            selection,
+            policy,
+        }
+    }
+
+    /// This query's key for one stage task.
+    fn for_task(self, params: &MelopprParams, task: &TaskSpec) -> Self {
+        ResultKey {
+            node: task.node,
+            len: params.stages[task.stage] as u32,
+            last: task.stage + 1 == params.stages.len(),
+            ..self
+        }
+    }
+
+    /// Every field but the node folded into 32 bits, for the cache's
+    /// shard and sketch hashes.
+    pub(crate) fn variant_hash(&self) -> u32 {
+        let mut h = (self.len as u64) << 1 | self.last as u64;
+        for word in [
+            (self.rung.0 as u64) << 8 | self.rung.1 as u64,
+            self.alpha,
+            self.selection.0 as u64,
+            self.selection.1,
+            self.policy as u64,
+        ] {
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+        (h >> 32) as u32
+    }
+}
+
+/// A stage task's output before its weight is applied — the resident
+/// form a stored stage result takes in the shared cache.
+///
+/// `values` holds the Eq. 8-adjusted scores `s` of the contributions
+/// (in ball-local order, `s > 0` only), then the raw residuals `r` of
+/// the selected children (in selection order); `nodes` holds their
+/// global ids. A task of weight `w` reuses it as contributions
+/// `w * s` and children of weight `w * α^l * r`: the same expressions,
+/// in the same association, as a task that diffuses, so the bits match.
+#[derive(Debug)]
+pub(crate) struct StageResult {
+    nodes: Box<[NodeId]>,
+    values: Box<[f64]>,
+    /// Where the children start in `nodes` / `values`.
+    children_start: usize,
+    /// Non-zero residual candidates seen before selection.
+    candidates: usize,
+}
+
+impl StageResult {
+    /// Captures a task's output right after it ran: the adjusted
+    /// `accumulated` vector and the `selected` `(local, r)` children it
+    /// left in the workspace, mapped to global ids through `ball`.
+    fn capture(
+        ball: BallRef<'_>,
+        accumulated: &[f64],
+        selected: &[(NodeId, f64)],
+        candidates: usize,
+    ) -> Self {
+        let contributions = || {
+            accumulated
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s > 0.0)
+                .map(|(local, &s)| (local as NodeId, s))
+        };
+        // Sized exactly up front: one allocation per array, no growth.
+        let children_start = contributions().count();
+        let len = children_start + selected.len();
+        let mut nodes = Vec::with_capacity(len);
+        let mut values = Vec::with_capacity(len);
+        for (local, value) in contributions().chain(selected.iter().copied()) {
+            nodes.push(ball.to_global(local));
+            values.push(value);
+        }
+        StageResult {
+            nodes: nodes.into_boxed_slice(),
+            values: values.into_boxed_slice(),
+            children_start,
+            candidates,
+        }
+    }
+
+    /// Heap bytes of the two arrays — what the cache charges.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<NodeId>()
+            + self.values.len() * std::mem::size_of::<f64>()
+    }
+
+    /// `(global node, unweighted score)` contributions.
+    fn contributions(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let n = self.children_start;
+        self.nodes[..n]
+            .iter()
+            .copied()
+            .zip(self.values[..n].iter().copied())
+    }
+
+    /// `(global node, raw residual)` children, in selection order.
+    fn children(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let n = self.children_start;
+        self.nodes[n..]
+            .iter()
+            .copied()
+            .zip(self.values[n..].iter().copied())
+    }
 }
 
 /// Executes one diffusion task: ball extraction, diffusion, Eq. 8
@@ -576,6 +741,28 @@ impl<'t> QueryAccumulator<'t> {
         self.trace.push(rec);
     }
 
+    /// Merges a task served by a stored stage result at `weight`: its
+    /// contributions go into the table in stored order, exactly as the
+    /// diffusing task's merge adds them, and the reuse, its candidates
+    /// and its children are counted. No diffusion, ball work or trace
+    /// record: none ran.
+    fn merge_reused(&mut self, stage: usize, result: &StageResult, weight: f64) {
+        for (node, s) in result.contributions() {
+            self.table.add(node, weight * s);
+        }
+        let st = &mut self.stages[stage];
+        st.reused += 1;
+        st.candidates += result.candidates;
+        st.expanded += result.nodes.len() - result.children_start;
+    }
+
+    /// Records the working set right after a reused task's merge: the
+    /// table and the pending queue, with no ball or score vectors held.
+    fn observe_reused(&mut self, queue_len: usize) {
+        let snapshot = meloppr_cpu_peak(CpuTaskMemory::default(), self.table.len(), queue_len);
+        self.peak_working_set = self.peak_working_set.max(snapshot);
+    }
+
     pub(crate) fn finish(self, ranking_scratch: &mut Vec<(NodeId, f64)>) -> MelopprOutcome {
         let ranking = self.table.ranking_with(self.k, ranking_scratch);
         let aggregate_entries = self.table.len();
@@ -673,10 +860,9 @@ pub(crate) struct MemoryBudget {
 pub(crate) type BallSource<'c> = Option<(&'c ConcurrentSubgraphCache, &'c CacheConsumer)>;
 
 /// A ball handed to one task: borrowed from the extraction scratch
-/// (fresh mode) or shared zero-copy out of a cache — in either resident
-/// representation (compact when the cache compacts,
-/// [`BallStore::Compact`](crate::cache::BallStore), or when the cold
-/// tier served it).
+/// (fresh mode) or shared zero-copy out of a cache — in either
+/// representation (compact for a cache hit or a cold-tier read, full
+/// for the BFS miss that just extracted it).
 enum Ball<'a> {
     Borrowed(&'a Subgraph),
     Cached(CachedBall),
@@ -727,6 +913,16 @@ impl Ball<'_> {
 /// `MelopprStats::peak_cpu_bytes` never exceeds the budget except at
 /// that floor.
 ///
+/// # Stage-result reuse
+///
+/// With a cache and no budget, each task first looks up its stored
+/// [`StageResult`] (keyed by [`ResultKey`]). A hit merges the stored
+/// output at the task's weight and queues its children — the same
+/// products a diffusing task computes, so the ranking is bit-identical —
+/// and counts as the task's one cache lookup, a
+/// [`StageStats::reused`] task and no diffusion. A miss runs the task as
+/// above and then stores its result.
+///
 /// `params` must already be validated.
 pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
     graph: &G,
@@ -759,8 +955,33 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
         stage: 0,
     });
     let budgeted = budget.is_some();
+    // Stage results are stored and reused on the cached path without a
+    // byte budget, where every task is one whole, unsegmented stage.
+    let reuse = match source {
+        Some((cache, consumer)) if !budgeted => {
+            Some((cache, consumer, ResultKey::for_query(params, class)))
+        }
+        _ => None,
+    };
     while let Some(task) = queue.pop_front() {
         let stage_depth = params.stages[task.stage] as u32;
+        // A task whose result is stored merges it, reweighted, and
+        // spawns its children without a ball or a diffusion.
+        let reuse_task =
+            reuse.map(|(cache, consumer, key)| (cache, consumer, key.for_task(params, &task)));
+        if let Some((cache, consumer, key)) = reuse_task {
+            if let Some(result) = cache.get_result(key, consumer) {
+                acc.merge_reused(task.stage, &result, task.weight);
+                let alpha_l = params.ppr.alpha.powi(stage_depth as i32);
+                queue.extend(result.children().map(|(node, r)| TaskSpec {
+                    node,
+                    weight: task.weight * alpha_l * r,
+                    stage: task.stage + 1,
+                }));
+                acc.observe_reused(queue.len());
+                continue;
+            }
+        }
         let plan_depth = match budget {
             Some(plan) => plan
                 .ball_depths
@@ -880,7 +1101,7 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                         weight: piece.weight,
                         stage: task.stage,
                     };
-                    execute_task_on_with(
+                    let ran = execute_task_on_with(
                         sub.as_ref(),
                         bfs_work,
                         params,
@@ -892,7 +1113,17 @@ pub(crate) fn staged_query_impl<G: GraphView + ?Sized>(
                         candidates,
                         contributions,
                         children,
-                    )?
+                    )?;
+                    if let Some((cache, consumer, key)) = reuse_task {
+                        let result = StageResult::capture(
+                            sub.as_ref(),
+                            diffusion.accumulated(),
+                            candidates,
+                            ran.1,
+                        );
+                        cache.admit_result(key, result, sub.num_nodes(), consumer);
+                    }
+                    ran
                 };
                 acc.merge_parts(contributions, children.len(), record, candidates_count);
                 queue.extend(children.iter().copied());

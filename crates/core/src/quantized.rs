@@ -34,8 +34,8 @@
 //! 2. [`CompactBall`] — a reduced-width ball representation (`u16` local
 //!    adjacency, no global→local map) at roughly **half** the bytes of a
 //!    full [`Subgraph`]: the form the cold tier decodes and serves, and
-//!    the form `cache::BallStore::Compact` keeps every resident in, so a
-//!    byte-budgeted cache admits ~2× more residents. Both forms feed
+//!    the form the shared cache keeps every ball that fits `u16` local
+//!    ids in, so a byte-budgeted cache admits ~2× more residents. Both forms feed
 //!    every kernel through [`QuantView`].
 //! 3. [`PrecisionClass`] itself: parseable from CLI/wire strings
 //!    (`exact | f32 | qN`), with the conservative per-class precision

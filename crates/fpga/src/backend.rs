@@ -128,6 +128,7 @@ impl<'g, G: GraphView + ?Sized> FpgaHybrid<'g, G> {
             .iter()
             .map(|&diffusions| StageStats {
                 diffusions,
+                reused: 0,
                 ..StageStats::default()
             })
             .collect();

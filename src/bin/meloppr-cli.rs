@@ -40,8 +40,9 @@
 //! lookups, even if other consumers share the cache). The cache budget
 //! is byte-denominated with `--cache-bytes 64MiB`-style suffixed sizes
 //! (`KiB`/`MiB`/`GiB`, or decimal `KB`/`MB`/`GB`), entry-denominated
-//! with `--cache-capacity N`, or both at once; without either, the
-//! default is 1024 balls. `--cache-admission` sets the admission policy
+//! with `--cache-capacity N` (entries: balls and stored stage results
+//! alike), or both at once; without either, the default is 1024
+//! entries. `--cache-admission` sets the admission policy
 //! (`always` | `max-nodes:N` | `freq:N` | `tinylfu`) so giant one-off
 //! balls don't evict hot residents, and `--cache-window` sets the
 //! sliding window (lookups) of the hit rate that routing estimates
@@ -133,8 +134,9 @@ const USAGE: &str = "usage:
   --cache-shared = share one concurrent sub-graph cache across all
                    workers of the staged meloppr backend
   --cache-capacity N / --cache-bytes SIZE = the shared cache's budget in
-                   balls and/or bytes (SIZE takes KiB/MiB/GiB or
-                   KB/MB/GB suffixes, e.g. 64MiB); default 1024 balls
+                   entries (balls and stored stage results) and/or
+                   bytes (SIZE takes KiB/MiB/GiB or KB/MB/GB suffixes,
+                   e.g. 64MiB); default 1024 entries
   --cache-admission = ball admission policy: always (default),
                    max-nodes:N (never admit balls over N nodes),
                    freq:N (admit over-budget balls on second sighting),
@@ -326,10 +328,10 @@ impl QueryArgs {
         let budget = self.cache_budget();
         match (budget.entries, budget.bytes) {
             (Some(entries), Some(bytes)) => {
-                format!("{entries} balls / {}", format_bytes(bytes))
+                format!("{entries} entries / {}", format_bytes(bytes))
             }
             (None, Some(bytes)) => format_bytes(bytes),
-            (Some(entries), None) => format!("{entries} balls"),
+            (Some(entries), None) => format!("{entries} entries"),
             (None, None) => "unbounded".into(),
         }
     }
@@ -663,11 +665,12 @@ fn query(g: &CsrGraph, args: &[String], exact_only: bool) -> Result<(), String> 
                 .map(format_bytes)
                 .unwrap_or_else(|| "?".into());
             println!(
-                "shared cache (this batch's own lookups): {} lookups, {} hits + {} shared, \
-                 {} extractions, {} admissions rejected ({:.0}% served without BFS); \
-                 resident {resident} of budget {}",
+                "shared cache (this batch's own lookups): {} lookups, {} hits ({} reuse \
+                 hits) + {} shared, {} extractions, {} admissions rejected ({:.0}% served \
+                 without BFS); resident {resident} of budget {}",
                 cache.lookups(),
                 cache.hits,
+                cache.reuse_hits,
                 cache.shared,
                 cache.extractions,
                 cache.rejected_admissions,

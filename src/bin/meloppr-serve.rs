@@ -81,7 +81,8 @@ const USAGE: &str = "usage:
                     with the most deadline slack is shed (default 64)
   --deadline-ms X = default per-request deadline for QUERY frames that
                     carry no deadline_ms (default 100)
-  --cache-capacity N = shared sub-graph cache budget in balls (default 1024)
+  --cache-capacity N = shared cache budget in entries: balls and stored
+                    stage results together (default 1024)
   --ball-index F  = persisted ball index (meloppr-cli index) attached as
                     the shared cache's cold tier: RAM misses are served
                     by one positioned read instead of a BFS; corrupt or

@@ -142,7 +142,7 @@ pub use meloppr_core::server;
 
 pub use meloppr_core::{
     build_index, exact_ppr, exact_top_k, format_bytes, parse_byte_size, precision_at_k,
-    AdmissionPolicy, BackendCaps, BackendError, BackendKind, BallIndex, BallStore, BatchExecutor,
+    AdmissionPolicy, BackendCaps, BackendError, BackendKind, BallIndex, BatchExecutor,
     BatchOutcome, BatchStats, CacheBudget, CacheConsumer, CacheStats, CachedBall, CompactBall,
     ConcurrentSubgraphCache, ConsumerStats, CostEstimate, IndexBuildReport, MelopprEngine,
     MelopprOutcome, MelopprParams, PprBackend, PprParams, PprServer, PrecisionClass, QueryBudget,

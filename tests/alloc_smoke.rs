@@ -15,12 +15,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use meloppr::backend::Meloppr;
 use meloppr::graph::generators::corpus::PaperGraph;
 use meloppr::{
-    MelopprParams, PprBackend, PprParams, PrecisionClass, QueryRequest, QueryWorkspace,
-    SelectionStrategy,
+    ConcurrentSubgraphCache, MelopprParams, PprBackend, PprParams, PrecisionClass, QueryRequest,
+    QueryWorkspace, SelectionStrategy,
 };
 
 struct CountingAllocator;
@@ -167,5 +168,43 @@ fn steady_state_queries_allocate_approximately_nothing() {
     // Every quantized outcome reports the rung it executed.
     for (i, outcome) in quant_outcomes.iter().enumerate() {
         assert_eq!(outcome.stats.precision_class, classes[i % classes.len()]);
+    }
+
+    // A warmed shared cache serves every task from its stored stage
+    // result: merging a stored output into the workspace's table and
+    // queue obeys the same per-query ceiling.
+    let cached = Meloppr::new(&g, backend.params().clone())
+        .unwrap()
+        .with_shared_cache(Arc::new(ConcurrentSubgraphCache::new(1 << 16)));
+    for _ in 0..2 {
+        for &s in &seeds {
+            cached.query(&QueryRequest::new(s)).unwrap();
+        }
+    }
+    let consumer = cached.cache_consumer().unwrap();
+    let before = consumer.stats();
+    let mut reused_outcomes = Vec::new();
+    let reused_steady = count_allocations(|| {
+        for _ in 0..ROUNDS {
+            for &s in &seeds {
+                reused_outcomes.push(cached.query(&QueryRequest::new(s)).unwrap());
+            }
+        }
+    });
+    let delta = consumer.stats().delta_since(&before);
+    assert_eq!(
+        delta.reuse_hits,
+        delta.lookups(),
+        "every task must be reused"
+    );
+    let reused_per_query = reused_steady / queries;
+    assert!(
+        reused_per_query <= STEADY_STATE_ALLOCS_PER_QUERY,
+        "steady-state reused query allocates too much: {reused_per_query} \
+         allocations/query (budget {STEADY_STATE_ALLOCS_PER_QUERY})"
+    );
+    for (got, want) in reused_outcomes.iter().zip(outcomes.iter()) {
+        assert_eq!(got.ranking, want.ranking);
+        assert_eq!(got.stats.total_diffusions, 0);
     }
 }

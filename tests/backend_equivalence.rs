@@ -14,7 +14,7 @@ use std::sync::Arc;
 use meloppr::backend::{ExactPower, LocalPpr, Meloppr, MonteCarlo};
 use meloppr::graph::generators::{self, corpus::PaperGraph};
 use meloppr::{
-    build_index, exact_top_k, BallIndex, BallStore, CacheBudget, ConcurrentSubgraphCache, CsrGraph,
+    build_index, exact_top_k, BallIndex, CacheBudget, ConcurrentSubgraphCache, CsrGraph,
     FpgaHybrid, HybridConfig, HybridMeloppr, MelopprEngine, MelopprParams, PprBackend, PprParams,
     PrecisionClass, QueryRequest, Ranking, SelectionStrategy,
 };
@@ -137,10 +137,12 @@ fn meloppr_threaded_backend_equals_sequential() {
 }
 
 /// Every cache configuration the binaries can express serves exactly
-/// the uncached staged backend's rankings (`==` on the scores): ball
-/// store × RAM-tier budget × cold tier (a depth-3 index) × query byte
-/// budget (a third of the unbudgeted peak) × precision rung, for two
-/// rounds so the second round hits the warm cache.
+/// the uncached staged backend's rankings (`==` on the scores): RAM-tier
+/// budget × cold tier (a depth-3 index) × query byte budget (a third of
+/// the unbudgeted peak) × precision rung, for two rounds so the second
+/// round hits the warm cache. A request without a byte budget reuses
+/// stored stage results: on an unbounded cache its second round is
+/// served by them entirely. A budgeted request never reuses one.
 #[test]
 fn meloppr_cache_configuration_matrix_equals_uncached() {
     for (name, g) in &fixtures() {
@@ -166,30 +168,114 @@ fn meloppr_cache_configuration_matrix_equals_uncached() {
         ));
         build_index(g, 3, &path).unwrap();
         let index = Arc::new(BallIndex::open(&path).unwrap());
-        for store in [BallStore::Full, BallStore::Compact] {
-            for budget in [CacheBudget::unbounded(), CacheBudget::entries(4)] {
-                for cold in [false, true] {
-                    let mut cache =
-                        ConcurrentSubgraphCache::with_budget(budget).with_ball_store(store);
-                    if cold {
-                        cache = cache.with_cold_tier(Arc::clone(&index));
-                    }
-                    let cached = Meloppr::new(g, params.clone())
-                        .unwrap()
-                        .with_shared_cache(Arc::new(cache));
-                    for round in 0..2 {
-                        for (req, want) in requests.iter().zip(&expected) {
-                            let got = cached.query(req).unwrap().ranking;
-                            assert_eq!(
-                                &got, want,
-                                "{name} {store:?} {budget:?} cold tier {cold} round {round}: {req:?}"
-                            );
+        for budget in [CacheBudget::unbounded(), CacheBudget::entries(4)] {
+            for cold in [false, true] {
+                let mut cache = ConcurrentSubgraphCache::with_budget(budget);
+                if cold {
+                    cache = cache.with_cold_tier(Arc::clone(&index));
+                }
+                let cached = Meloppr::new(g, params.clone())
+                    .unwrap()
+                    .with_shared_cache(Arc::new(cache));
+                let consumer = cached.cache_consumer().unwrap();
+                for round in 0..2 {
+                    for (req, want) in requests.iter().zip(&expected) {
+                        let before = consumer.stats();
+                        let got = cached.query(req).unwrap().ranking;
+                        let what = format!("{name} {budget:?} cold tier {cold} round {round}");
+                        assert_eq!(&got, want, "{what}: {req:?}");
+                        let delta = consumer.stats().delta_since(&before);
+                        if req.budget.max_memory_bytes.is_some() {
+                            assert_eq!(delta.reuse_hits, 0, "{what}: budgeted {req:?}");
+                        } else if round == 1 && budget == CacheBudget::unbounded() {
+                            assert!(delta.reuse_hits > 0, "{what}: {req:?}");
+                            assert_eq!(delta.reuse_hits, delta.lookups(), "{what}: {req:?}");
                         }
                     }
                 }
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Stored stage results are keyed by everything a task's output depends
+/// on. Backends that differ only in selection, α, residual policy or
+/// stage split share one cache, each queried at two precision rungs and
+/// with α and length overrides, interleaved over two rounds: every
+/// cached ranking must stay `==` its uncached twin's, even though the
+/// tasks of different backends keep landing on the same nodes.
+#[test]
+fn shared_cache_isolates_stage_results_by_key() {
+    use meloppr::ResidualPolicy;
+    let base = staged_params();
+    let variants = [
+        ("base", base.clone()),
+        (
+            "selection",
+            MelopprParams {
+                selection: SelectionStrategy::TopFraction(0.3),
+                ..base.clone()
+            },
+        ),
+        (
+            "alpha",
+            MelopprParams {
+                ppr: PprParams::new(0.8, 6, 15).unwrap(),
+                ..base.clone()
+            },
+        ),
+        (
+            "policy",
+            MelopprParams {
+                residual_policy: ResidualPolicy::KeepUnexpanded,
+                ..base.clone()
+            },
+        ),
+        (
+            "three stages",
+            MelopprParams {
+                stages: vec![2, 2, 2],
+                ..base.clone()
+            },
+        ),
+    ];
+    for (name, g) in &fixtures() {
+        let cache = Arc::new(ConcurrentSubgraphCache::with_budget(
+            CacheBudget::unbounded(),
+        ));
+        let backends: Vec<(&str, Meloppr<'_, CsrGraph>, Meloppr<'_, CsrGraph>)> = variants
+            .iter()
+            .map(|(variant, params)| {
+                let cached = Meloppr::new(g, params.clone())
+                    .unwrap()
+                    .with_shared_cache(Arc::clone(&cache));
+                (*variant, cached, Meloppr::new(g, params.clone()).unwrap())
+            })
+            .collect();
+        let mut requests = Vec::new();
+        for seed in seeds_for(g) {
+            for rung in [PrecisionClass::Exact64, PrecisionClass::Fixed(16)] {
+                let req = QueryRequest::new(seed).with_precision(rung);
+                requests.push(req);
+                requests.push(req.with_alpha(0.9));
+                // Length 4 splits into stages of 2: the same length as the
+                // three-stage backend's, but the last stage sooner.
+                requests.push(req.with_length(4));
+            }
+        }
+        for round in 0..2 {
+            for req in &requests {
+                for (variant, cached, uncached) in &backends {
+                    assert_eq!(
+                        cached.query(req).unwrap().ranking,
+                        uncached.query(req).unwrap().ranking,
+                        "{name} {variant} round {round}: {req:?}"
+                    );
+                }
+            }
+        }
+        assert!(cache.stats().reuse_hits > 0, "{name}: results were reused");
     }
 }
 

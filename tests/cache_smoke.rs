@@ -11,10 +11,12 @@
 //! * `prepare()` warm-up extractions must **not** appear in the first
 //!   batch's consumer-attributed miss delta (warming is not demand, so
 //!   it must not deflate the hit rate `estimate()` feeds the router);
-//! * re-serving the warmed batch must charge **zero** BFS work — hits do
-//!   no extraction at all;
+//! * re-serving the warmed batch must charge **zero** BFS work and run
+//!   **zero** diffusions — every task is served by its stored stage
+//!   result;
 //! * shared-cache rankings must be bit-identical to the uncached
-//!   sequential path.
+//!   sequential path, and every uncached task is either diffused or
+//!   reused, stage by stage.
 
 use std::sync::Arc;
 
@@ -65,10 +67,13 @@ fn skewed_batch_extracts_less_than_half_its_queries() {
 
     let batch = BatchExecutor::new(4).unwrap().run(&shared, &reqs).unwrap();
 
-    // Bit-identical rankings, identical diffusion work.
+    // Bit-identical rankings; each uncached task either diffused or
+    // was served by a stored stage result.
     for (got, want) in batch.outcomes.iter().zip(&expected) {
         assert_eq!(got.ranking, want.ranking);
-        assert_eq!(got.stats.total_diffusions, want.stats.total_diffusions);
+        for (got, want) in got.stats.stages.iter().zip(&want.stats.stages) {
+            assert_eq!(got.diffusions + got.reused, want.diffusions);
+        }
     }
 
     // The headline: ≥2× fewer ball extractions than queries issued.
@@ -79,18 +84,26 @@ fn skewed_batch_extracts_less_than_half_its_queries() {
         stats.extractions
     );
     // The per-batch delta is consumer-attributed: it must cover exactly
-    // this batch's ball lookups (one per diffusion task), none of the
-    // warm-up extractions.
+    // this batch's lookups (one per task: the seed's, plus one per
+    // expanded child), none of the warm-up extractions; its reuse hits
+    // are exactly the tasks the outcomes report as reused.
     let task_lookups: usize = batch
         .outcomes
         .iter()
-        .map(|o| o.stats.total_diffusions)
+        .map(|o| 1 + o.stats.stages.iter().map(|s| s.expanded).sum::<usize>())
         .sum();
     assert_eq!(
         stats.lookups(),
         task_lookups as u64,
         "batch delta must count exactly its own lookups"
     );
+    let reused: usize = batch
+        .outcomes
+        .iter()
+        .flat_map(|o| &o.stats.stages)
+        .map(|s| s.reused)
+        .sum();
+    assert_eq!(stats.reuse_hits, reused as u64);
     assert_eq!(
         stats.misses, stats.extractions,
         "warm-up extractions must not appear in the batch's miss delta"
@@ -102,17 +115,23 @@ fn skewed_batch_extracts_less_than_half_its_queries() {
     );
     assert_eq!(
         cache.stats().extractions,
-        cache.len() as u64,
+        (cache.len() - cache.resident_results()) as u64,
         "singleflight held (warm-ups included)"
     );
 
-    // Hits perform zero BFS work: the warmed batch extracts nothing and
-    // scans nothing.
+    // The warmed batch is served by stored stage results: it extracts
+    // nothing, scans nothing and diffuses nothing.
     let again = BatchExecutor::new(4).unwrap().run(&shared, &reqs).unwrap();
     let delta = again.stats.cache.expect("shared cache attached");
     assert_eq!(delta.extractions, 0, "warm batch re-extracted a ball");
     assert_eq!(delta.misses, 0);
+    assert_eq!(
+        delta.reuse_hits,
+        delta.lookups(),
+        "a warm task missed its result"
+    );
     assert_eq!(again.stats.bfs_edges_scanned, 0, "a hit charged BFS work");
+    assert_eq!(again.stats.total_diffusions, 0, "a warm task diffused");
     for (got, want) in again.outcomes.iter().zip(&expected) {
         assert_eq!(got.ranking, want.ranking);
     }

@@ -12,9 +12,9 @@ use meloppr::backend::{BatchExecutor, Meloppr, QueryRequest};
 use meloppr::graph::generators;
 use meloppr::graph::generators::corpus::PaperGraph;
 use meloppr::{
-    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, CachedBall, ConcurrentSubgraphCache,
-    CsrGraph, ExtractScratch, GraphView, MelopprParams, NodeId, PprBackend, PprParams,
-    SelectionStrategy, Subgraph,
+    bfs_ball, AdmissionPolicy, CacheBudget, CacheConsumer, CachedBall, CompactBall,
+    ConcurrentSubgraphCache, CsrGraph, ExtractScratch, MelopprEngine, MelopprParams, NodeId,
+    PprBackend, PprParams, SelectionStrategy, Subgraph,
 };
 
 fn staged(selection: SelectionStrategy) -> MelopprParams {
@@ -26,17 +26,17 @@ fn staged(selection: SelectionStrategy) -> MelopprParams {
     }
 }
 
-/// A demand lookup through throwaway scratch buffers, unwrapping the
-/// full ball: these caches keep the default ball store and no cold tier,
-/// so every ball they serve is full.
+/// A demand lookup through throwaway scratch buffers. These caches have
+/// no cold tier, so a miss serves the full extraction it made and a hit
+/// the compact resident.
 fn get(
     cache: &ConcurrentSubgraphCache,
     g: &CsrGraph,
     node: NodeId,
     depth: u32,
     consumer: &CacheConsumer,
-) -> (Arc<Subgraph>, usize) {
-    let (ball, work) = cache
+) -> (CachedBall, usize) {
+    cache
         .get_ball_with_as(
             g,
             node,
@@ -45,11 +45,26 @@ fn get(
             &mut Vec::new(),
             consumer,
         )
-        .unwrap();
+        .unwrap()
+}
+
+/// The compact form of a served ball (a miss serves it full).
+fn compact(ball: &CachedBall) -> CompactBall {
     match ball {
-        CachedBall::Full(sub) => (sub, work),
-        CachedBall::Compact(_) => panic!("a BFS-served ball is full under the default store"),
+        CachedBall::Full(sub) => CompactBall::from_subgraph(sub).unwrap(),
+        CachedBall::Compact(ball) => (**ball).clone(),
     }
+}
+
+/// Tasks one staged outcome ran: its seed's, plus one per expanded
+/// child — each is exactly one cache lookup.
+fn tasks(outcome: &meloppr::QueryOutcome) -> u64 {
+    1 + outcome
+        .stats
+        .stages
+        .iter()
+        .map(|s| s.expanded as u64)
+        .sum::<u64>()
 }
 
 /// Raw cache stress: 8 threads × the same key set, started together.
@@ -79,12 +94,12 @@ fn stress_raw_cache_singleflight_and_consistency() {
                 for round in 0..rounds {
                     for i in 0..keys.len() {
                         let (node, depth) = keys[(i + t * 7 + round) % keys.len()];
-                        let (sub, work) = get(cache, g, node, depth, consumer);
-                        assert_eq!(sub.to_global(sub.seed_local()), node);
+                        let (served, work) = get(cache, g, node, depth, consumer);
                         let ball = bfs_ball(g, node, depth).unwrap();
                         let fresh = Subgraph::extract(g, &ball).unwrap();
-                        assert_eq!(sub.global_ids(), fresh.global_ids());
-                        assert_eq!(sub.num_edges(), fresh.num_edges());
+                        let served = compact(&served);
+                        assert_eq!(served.to_global(served.seed_local()), node);
+                        assert_eq!(served, CompactBall::from_subgraph(&fresh).unwrap());
                         // Work is charged only to the one extracting call.
                         assert!(work == 0 || work == ball.edges_scanned);
                     }
@@ -155,8 +170,11 @@ fn stress_shared_backend_matches_sequential_uncached() {
     let stats = cache.stats();
     assert_eq!(stats.evictions, 0);
     // Each distinct (node, depth) ball extracted at most once across all
-    // threads and rounds.
-    assert_eq!(stats.extractions, cache.len() as u64);
+    // threads and rounds; the other residents are stored stage results.
+    assert_eq!(
+        stats.extractions,
+        (cache.len() - cache.resident_results()) as u64
+    );
     // 6 threads x 3 rounds x 12 queries all re-request the same balls:
     // the overwhelming majority of lookups must be free.
     assert!(stats.hit_rate() > 0.9, "hit rate too low: {:?}", stats);
@@ -182,18 +200,30 @@ fn shared_cache_batch_equals_per_query_path() {
             .unwrap();
         for (got, want) in batch.outcomes.iter().zip(&expected) {
             assert_eq!(got.ranking, want.ranking, "workers = {workers}");
-            // Cached stats differ only in BFS accounting: diffusion work
-            // is identical to the uncached path.
-            assert_eq!(got.stats.total_diffusions, want.stats.total_diffusions);
-            assert_eq!(
-                got.stats.diffusion_edge_updates,
-                want.stats.diffusion_edge_updates
-            );
+            // Every uncached task either diffused or was served by a
+            // stored stage result, stage by stage; the cache never adds
+            // BFS work.
+            for (got, want) in got.stats.stages.iter().zip(&want.stats.stages) {
+                assert_eq!(got.diffusions + got.reused, want.diffusions);
+            }
             assert!(got.stats.bfs_edges_scanned <= want.stats.bfs_edges_scanned);
         }
         let cache_stats = batch.stats.cache.expect("cache stats reported");
-        assert!(cache_stats.lookups() > 0);
-        assert_eq!(cache_stats.extractions, cache.len() as u64);
+        assert_eq!(
+            cache_stats.lookups(),
+            batch.outcomes.iter().map(tasks).sum::<u64>()
+        );
+        let reused: usize = batch
+            .outcomes
+            .iter()
+            .flat_map(|o| &o.stats.stages)
+            .map(|s| s.reused)
+            .sum();
+        assert_eq!(cache_stats.reuse_hits, reused as u64);
+        assert_eq!(
+            cache_stats.extractions,
+            (cache.len() - cache.resident_results()) as u64
+        );
     }
 }
 
@@ -201,7 +231,7 @@ fn shared_cache_batch_equals_per_query_path() {
 /// driving its own shared-cache backend) plus a raw third consumer all
 /// hammer **one** cache at the same time. Every `BatchStats::cache`
 /// delta must sum to exactly that executor's own lookups (one per
-/// diffusion task), and the raw consumer must see exactly its own — no
+/// stage task), and the raw consumer must see exactly its own — no
 /// cross-attribution, which the old global-counter bracketing could not
 /// guarantee.
 #[test]
@@ -246,13 +276,8 @@ fn concurrent_executors_attribute_exactly_their_own_lookups() {
         (a.join().unwrap(), b.join().unwrap())
     });
 
-    let task_lookups = |batch: &meloppr::BatchOutcome| -> u64 {
-        batch
-            .outcomes
-            .iter()
-            .map(|o| o.stats.total_diffusions as u64)
-            .sum()
-    };
+    let task_lookups =
+        |batch: &meloppr::BatchOutcome| -> u64 { batch.outcomes.iter().map(tasks).sum() };
     let delta_a = batch_a.stats.cache.expect("cache stats for executor A");
     let delta_b = batch_b.stats.cache.expect("cache stats for executor B");
     assert_eq!(
@@ -346,8 +371,8 @@ fn rejected_balls_never_evict_admitted_ones() {
 
     // A storm of giant one-off balls, all over budget.
     for seed in [100u32, 120, 140, 160, 180] {
-        let (sub, work) = get(&cache, &g, seed, 40, &consumer);
-        assert!(sub.num_nodes() > 8);
+        let (ball, work) = get(&cache, &g, seed, 40, &consumer);
+        assert!(ball.num_nodes() > 8);
         assert!(work > 0, "rejected balls are served fresh every time");
     }
     let stats = cache.stats();
@@ -499,8 +524,10 @@ proptest! {
             (0..g.num_nodes().min(8) as u32).map(QueryRequest::new).collect();
         let expected: Vec<_> = reqs.iter().map(|r| uncached.query(r).unwrap()).collect();
 
+        // Ample for every ball and stage result of the batch (≤ 40
+        // nodes, two stages).
         let cache = Arc::new(
-            ConcurrentSubgraphCache::with_shards(64, 1)
+            ConcurrentSubgraphCache::with_shards(256, 1)
                 .with_admission(AdmissionPolicy::MaxNodes(budget)),
         );
         let shared = Meloppr::new(&g, params)
@@ -513,11 +540,27 @@ proptest! {
         let global = cache.stats();
         // Every demand miss extracted (no warming in this test)…
         prop_assert_eq!(global.misses, global.extractions);
-        // …rejections are a subset of extractions…
-        prop_assert!(global.rejected_admissions <= global.extractions);
         // …and with capacity ample, nothing rejected caused an eviction.
         prop_assert_eq!(global.evictions, 0);
-        prop_assert_eq!(cache.len() as u64, global.extractions - global.rejected_admissions);
+        // Exactly the balls and the stage results of the tasks within
+        // the node gate are resident. The cached batch runs the uncached
+        // engine's task tree, so its traces name every task and ball.
+        let engine = MelopprEngine::new(&g, staged(SelectionStrategy::TopFraction(fraction)))
+            .unwrap();
+        let traces: Vec<_> = reqs
+            .iter()
+            .map(|r| engine.query(r.seed).unwrap().stats.trace)
+            .collect();
+        let admitted: Vec<_> = traces
+            .iter()
+            .flatten()
+            .filter(|rec| rec.ball_nodes <= budget)
+            .collect();
+        let balls: std::collections::BTreeSet<_> = admitted.iter().map(|rec| rec.node).collect();
+        let results: std::collections::BTreeSet<_> =
+            admitted.iter().map(|rec| (rec.node, rec.stage)).collect();
+        prop_assert_eq!(cache.resident_results(), results.len());
+        prop_assert_eq!(cache.len() - cache.resident_results(), balls.len());
     }
 
     /// Property: the resident-bytes counter always equals the sum of
