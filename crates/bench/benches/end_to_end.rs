@@ -1,6 +1,6 @@
-//! Criterion end-to-end query benchmarks: baseline vs MeLoPPR (sequential
-//! and parallel) vs the simulated hybrid platform, native Rust wall-clock,
-//! all driven through the unified `PprBackend` API.
+//! Criterion end-to-end query benchmarks: baseline vs MeLoPPR vs the
+//! simulated hybrid platform, native Rust wall-clock, all driven through
+//! the unified `PprBackend` API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -35,13 +35,6 @@ fn bench_query_engines(c: &mut Criterion) {
     let engine = Meloppr::new(&g, p.clone()).unwrap();
     group.bench_function("meloppr_sequential", |b| {
         b.iter(|| engine.query(black_box(&req)).unwrap());
-    });
-    let parallel = Meloppr::new(&g, p.clone())
-        .unwrap()
-        .with_threads(4)
-        .unwrap();
-    group.bench_function("meloppr_parallel_4", |b| {
-        b.iter(|| parallel.query(black_box(&req)).unwrap());
     });
     let hybrid = FpgaHybrid::new(&g, p.clone(), HybridConfig::default()).unwrap();
     group.bench_function("hybrid_fpga_sim", |b| {

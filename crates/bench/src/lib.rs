@@ -16,7 +16,6 @@
 //! | Fig. 2 design-space taxonomy     | `study_design_space` |
 //! | Residual-policy ablation         | `ablation_residual` |
 //! | Stage-split ablation             | `ablation_stages` |
-//! | Parallel stage-2 (future work)   | `ablation_parallel` |
 //!
 //! Each binary runs in a scaled-down *quick* mode by default and accepts
 //! `--full` (paper-size graphs), `--seeds N` and `--scale F`; see

@@ -40,10 +40,9 @@
 //!   estimates from observed queries.
 //!
 //! Four backends live in this crate — [`ExactPower`], [`LocalPpr`],
-//! [`MonteCarlo`] and the staged [`Meloppr`] (whose threaded and cached
-//! execution variants are constructor options). The fifth, the
-//! FPGA-hybrid engine, implements the same trait in
-//! `meloppr_fpga::FpgaHybrid`.
+//! [`MonteCarlo`] and the staged [`Meloppr`] (whose shared sub-graph
+//! cache is a constructor option). The fifth, the FPGA-hybrid engine,
+//! implements the same trait in `meloppr_fpga::FpgaHybrid`.
 //!
 //! # Example
 //!
@@ -103,7 +102,7 @@ pub enum BackendKind {
     LocalPpr,
     /// α-decay random-walk estimation (Fig. 2(a)).
     MonteCarlo,
-    /// Multi-stage MeLoPPR (§IV), sequential, parallel or cached.
+    /// Multi-stage MeLoPPR (§IV), with or without a shared cache.
     Meloppr,
     /// The simulated CPU+FPGA hybrid platform (§V).
     FpgaHybrid,
@@ -529,10 +528,7 @@ pub trait PprBackend {
     /// [`Router`]).
     fn estimate(&self, req: &QueryRequest) -> Result<CostEstimate>;
 
-    /// Runs one query, borrowing scratch storage from `ws` wherever the
-    /// backend's execution mode allows (intra-query thread pools still
-    /// allocate their own per-task scratch — see
-    /// [`Meloppr::with_threads`]).
+    /// Runs one query, borrowing its scratch storage from `ws`.
     ///
     /// The workspace may be fresh or reused from any prior query on any
     /// backend; outcomes are identical either way.

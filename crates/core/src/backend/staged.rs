@@ -10,10 +10,9 @@ use super::{
     WorkProfile,
 };
 use crate::cache::{CacheConsumer, ConcurrentSubgraphCache, ConsumerStats, DEFAULT_HIT_WINDOW};
-use crate::error::{PprError, Result};
+use crate::error::Result;
 use crate::meloppr::{staged_query_impl, MelopprOutcome, MemoryBudget};
 use crate::memory::cpu_task_memory_width;
-use crate::parallel::parallel_query_impl;
 use crate::params::MelopprParams;
 use crate::quantized::PrecisionClass;
 use crate::selection::SelectionStrategy;
@@ -33,29 +32,28 @@ const COLD_HIT_COST_FACTOR: f64 = 0.035;
 
 /// Multi-stage MeLoPPR (§IV) as a backend.
 ///
-/// Execution variants are constructor options:
+/// Every query runs the stages one task at a time through one borrowed
+/// [`QueryWorkspace`]; parallelism across queries belongs to the
+/// [`BatchExecutor`](super::BatchExecutor) and the server's workers.
+/// [`Meloppr::with_shared_cache`] attaches a sub-graph cache: an
+/// `Arc<ConcurrentSubgraphCache>` reused across this backend's queries,
+/// across batch workers, and (if desired) across several backends over
+/// the same graph. Hot balls are extracted once (singleflight); every
+/// other query reuses the cached ball zero-copy, and hits charge zero
+/// BFS work.
 ///
-/// * [`Meloppr::with_threads`] — stage-level parallelism inside one
-///   query (bit-identical to sequential);
-/// * [`Meloppr::with_shared_cache`] — a sub-graph cache: an
-///   `Arc<ConcurrentSubgraphCache>` reused across this backend's
-///   queries, across [`BatchExecutor`](super::BatchExecutor) workers,
-///   and (if desired) across several backends over the same graph. Hot
-///   balls are extracted once (singleflight); every other query reuses
-///   the cached ball zero-copy, and hits charge zero BFS work.
-///
-/// All modes return identical rankings for identical requests; they
-/// differ only in wall-clock and work accounting. Cache hits charge zero
-/// BFS, and a cached query without `max_memory_bytes` serves each stage
-/// task whose unweighted output is stored from that stored result, with
-/// no diffusion (counted in `StageStats::reused`). With a cache attached,
-/// [`Meloppr::estimate`] discounts the predicted diffusion work of such
-/// requests by this backend's lifetime reuse fraction, and the predicted
-/// BFS latency by the **windowed** hit rate of recent lookups
-/// (`--cache-window` / [`Meloppr::with_cache_window`]), so a
-/// budget-driven [`Router`](super::Router) learns that warmed caches
-/// make staged queries cheaper — and un-learns it within one window when
-/// traffic shifts to cold seeds.
+/// Cached and uncached queries return identical rankings for identical
+/// requests; they differ only in wall-clock and work accounting. Cache
+/// hits charge zero BFS, and a cached query without `max_memory_bytes`
+/// serves each stage task whose unweighted output is stored from that
+/// stored result, with no diffusion (counted in `StageStats::reused`).
+/// With a cache attached, [`Meloppr::estimate`] discounts the predicted
+/// diffusion work of such requests by this backend's lifetime reuse
+/// fraction, and the predicted BFS latency by the **windowed** hit rate
+/// of recent lookups (`--cache-window` / [`Meloppr::with_cache_window`]),
+/// so a budget-driven [`Router`](super::Router) learns that warmed
+/// caches make staged queries cheaper — and un-learns it within one
+/// window when traffic shifts to cold seeds.
 ///
 /// With a cache attached the backend holds its own [`CacheConsumer`] handle:
 /// its lookups are attributed to *this backend* even when several
@@ -74,17 +72,16 @@ const COLD_HIT_COST_FACTOR: f64 = 0.035;
 /// let g = generators::karate_club();
 /// let mut params = MelopprParams::paper_defaults();
 /// params.ppr.k = 5;
-/// let backend = Meloppr::new(&g, params)?.with_threads(4)?;
+/// let backend = Meloppr::new(&g, params)?;
 /// let outcome = backend.query(&QueryRequest::new(0))?;
 /// assert_eq!(outcome.ranking.len(), 5);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct Meloppr<'g, G: GraphView + Sync + ?Sized> {
+pub struct Meloppr<'g, G: GraphView + ?Sized> {
     graph: &'g G,
     params: MelopprParams,
-    threads: usize,
     /// The sub-graph cache every ball extraction goes through, if any,
     /// with this backend's own consumer handle so its lookups are
     /// attributed to it and to nobody else.
@@ -96,51 +93,26 @@ pub struct Meloppr<'g, G: GraphView + Sync + ?Sized> {
     pool: WorkspacePool,
 }
 
-impl<'g, G: GraphView + Sync + ?Sized> Meloppr<'g, G> {
-    /// Creates a sequential staged backend, validating `params` and
-    /// probing ball growth for cost estimation.
+impl<'g, G: GraphView + ?Sized> Meloppr<'g, G> {
+    /// Creates a staged backend, validating `params` and probing ball
+    /// growth for cost estimation.
     ///
     /// # Errors
     ///
-    /// Returns [`PprError::InvalidParams`] on invalid parameters.
+    /// Returns [`PprError::InvalidParams`](crate::PprError::InvalidParams)
+    /// on invalid parameters.
     pub fn new(graph: &'g G, params: MelopprParams) -> Result<Self> {
         params.validate()?;
         let profile = WorkProfile::probe_default(graph, params.ppr.length as u32)?;
         Ok(Meloppr {
             graph,
             params,
-            threads: 1,
             cache: None,
             cache_window: DEFAULT_HIT_WINDOW,
             profile,
             latency: LatencyModel::default(),
             pool: WorkspacePool::new(),
         })
-    }
-
-    /// Enables stage-level parallelism with `threads` workers inside
-    /// each query. `1` keeps the sequential schedule.
-    ///
-    /// Threaded execution allocates per-task state instead of borrowing
-    /// the query workspace (each stage worker needs its own scratch), so
-    /// the zero-allocation steady state applies only to the sequential
-    /// and cached modes. Cached and memory-budgeted queries always run
-    /// sequentially ([`Meloppr::estimate`] prices them that way too).
-    /// For cross-query parallelism with full workspace
-    /// reuse, keep the backend sequential and drive it through a
-    /// [`BatchExecutor`](super::BatchExecutor) instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PprError::InvalidParams`] if `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Result<Self> {
-        if threads == 0 {
-            return Err(PprError::InvalidParams {
-                reason: "thread count must be >= 1".into(),
-            });
-        }
-        self.threads = threads;
-        Ok(self)
     }
 
     /// Sets the sliding-window length (lookups) of the hit rate that
@@ -166,9 +138,7 @@ impl<'g, G: GraphView + Sync + ?Sized> Meloppr<'g, G> {
     /// batch workers: every ball extraction goes through `cache`, so hot
     /// balls recurring across a skewed batch are extracted once and
     /// served zero-copy everywhere else. Replaces any cache configured
-    /// earlier; it takes precedence over [`Meloppr::with_threads`] for
-    /// intra-query scheduling (the cross-query parallelism belongs to
-    /// the [`BatchExecutor`](super::BatchExecutor)).
+    /// earlier.
     ///
     /// The backend registers its own [`CacheConsumer`] handle, so its
     /// lookups stay attributed to it even when other backends, routers
@@ -186,11 +156,6 @@ impl<'g, G: GraphView + Sync + ?Sized> Meloppr<'g, G> {
     /// The backend's configured base parameters.
     pub fn params(&self) -> &MelopprParams {
         &self.params
-    }
-
-    /// Worker threads used per query (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Fraction of the last [`Meloppr::with_cache_window`] cache lookups
@@ -357,7 +322,7 @@ fn restage(parts: usize, length: usize) -> Vec<usize> {
         .collect()
 }
 
-impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
+impl<G: GraphView + ?Sized> PprBackend for Meloppr<'_, G> {
     fn capabilities(&self) -> BackendCaps {
         BackendCaps {
             kind: BackendKind::Meloppr,
@@ -409,9 +374,6 @@ impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
             self.plan_precision(&params, req.budget.max_memory_bytes, requested);
         let work = estimate_staged_work_with_depths(&self.profile, &params, &ball_depths);
         let m = self.latency;
-        // Price the schedule `run_staged` actually executes: stage-level
-        // threads apply only to uncached, unbudgeted queries.
-        let threads = self.executed_threads(req.budget.max_memory_bytes) as f64;
         // Cache hits skip ball extraction entirely, so only the expected
         // miss fraction of the BFS work is charged: a warmed cache makes
         // the budget router prefer this backend for repeat-heavy traffic.
@@ -443,22 +405,9 @@ impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
         };
         let ns_per_diffusion_edge =
             m.ns_per_diffusion_edge * class.diffusion_cost_factor() * (1.0 - reuse);
-        let cost_of = |bfs: f64, diffusion_edges: f64, nodes: f64| {
-            bfs * bfs_miss_fraction * m.ns_per_bfs_edge
-                + diffusion_edges * ns_per_diffusion_edge
-                + nodes * m.ns_per_node
-        };
-        let compute_ns = cost_of(work.bfs_edges, work.diffusion_edges, work.nodes_touched);
-        // Stage one is a single serial task; worker threads only spread
-        // the later stages' diffusions.
-        let stage1 = self.profile.ball(ball_depths[0]);
-        let l1 = params.stages[0] as f64;
-        let stage1_ns = cost_of(
-            2.0 * stage1.edges as f64,
-            l1 * 2.0 * stage1.edges as f64,
-            stage1.nodes as f64,
-        )
-        .min(compute_ns);
+        let compute_ns = work.bfs_edges * bfs_miss_fraction * m.ns_per_bfs_edge
+            + work.diffusion_edges * ns_per_diffusion_edge
+            + work.nodes_touched * m.ns_per_node;
         // Shrunk balls truncate the diffusion's reach: charge the lost
         // depth fraction against the precision heuristic (documented
         // heuristic, like the base curve itself).
@@ -484,7 +433,7 @@ impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
             .max()
             .unwrap_or(0);
         Ok(CostEstimate {
-            latency_ns: m.fixed_overhead_ns + stage1_ns + (compute_ns - stage1_ns) / threads,
+            latency_ns: m.fixed_overhead_ns + compute_ns,
             peak_memory_bytes,
             expected_precision: precision.clamp(0.0, 1.0),
         })
@@ -521,22 +470,7 @@ impl<G: GraphView + Sync + ?Sized> PprBackend for Meloppr<'_, G> {
     }
 }
 
-impl<G: GraphView + Sync + ?Sized> Meloppr<'_, G> {
-    /// The worker threads a query runs on. The stage-parallel executor
-    /// serves only uncached, unbudgeted queries: a cached query goes
-    /// through the sequential workspace loop, and so does a budgeted one
-    /// (the budget gate needs the instantaneous table/queue state, which
-    /// the stage-parallel executor only has at stage barriers). Shared by
-    /// `run_staged` and `estimate()`, so routing prices the schedule that
-    /// executes.
-    fn executed_threads(&self, budget_bytes: Option<usize>) -> usize {
-        if self.cache.is_some() || budget_bytes.is_some() {
-            1
-        } else {
-            self.threads.max(1)
-        }
-    }
-
+impl<G: GraphView + ?Sized> Meloppr<'_, G> {
     fn run_staged(
         &self,
         params: &MelopprParams,
@@ -562,10 +496,6 @@ impl<G: GraphView + Sync + ?Sized> Meloppr<'_, G> {
             }
             None => (requested, None),
         };
-        let threads = self.executed_threads(budget_bytes);
-        if threads > 1 {
-            return parallel_query_impl(self.graph, params, seed, class, threads);
-        }
         let source = self
             .cache
             .as_ref()
@@ -613,15 +543,12 @@ mod tests {
             .generate_scaled(0.2, 6)
             .unwrap();
         let sequential = Meloppr::new(&g, params()).unwrap();
-        let threaded = Meloppr::new(&g, params()).unwrap().with_threads(4).unwrap();
         let cached = Meloppr::new(&g, params())
             .unwrap()
             .with_shared_cache(Arc::new(ConcurrentSubgraphCache::new(64)));
         let req = QueryRequest::new(3);
         let a = sequential.query(&req).unwrap();
-        let b = threaded.query(&req).unwrap();
         let c = cached.query(&req).unwrap();
-        assert_eq!(a.ranking, b.ranking);
         assert_eq!(a.ranking, c.ranking);
         // The cache changes only BFS accounting, never the answer; a
         // repeat query hits the cache and charges less BFS.
@@ -783,12 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_rejected() {
-        let g = generators::karate_club();
-        assert!(Meloppr::new(&g, params()).unwrap().with_threads(0).is_err());
-    }
-
-    #[test]
     fn exactness_capability_tracks_selection() {
         let g = generators::karate_club();
         let approx = Meloppr::new(&g, params()).unwrap();
@@ -802,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_scales_with_selection_and_threads() {
+    fn estimate_scales_with_selection() {
         let g = generators::corpus::PaperGraph::G2Cora
             .generate_scaled(0.15, 9)
             .unwrap();
@@ -815,10 +736,6 @@ mod tests {
         let req = QueryRequest::new(0);
         assert!(
             wide.estimate(&req).unwrap().latency_ns > narrow.estimate(&req).unwrap().latency_ns
-        );
-        let threaded = Meloppr::new(&g, params()).unwrap().with_threads(8).unwrap();
-        assert!(
-            threaded.estimate(&req).unwrap().latency_ns < narrow.estimate(&req).unwrap().latency_ns
         );
     }
 
@@ -859,36 +776,6 @@ mod tests {
         assert_eq!(
             shared.estimate(&budgeted).unwrap().latency_ns,
             budgeted_before
-        );
-    }
-
-    #[test]
-    fn cached_estimate_ignores_threads_the_cached_path_never_uses() {
-        // A cached query always runs the sequential loop, so stage-level
-        // threads must not discount its estimate: on a cold cache (no
-        // observed hit rate) the threaded and unthreaded backends price
-        // the same schedule the same.
-        let g = generators::corpus::PaperGraph::G2Cora
-            .generate_scaled(0.2, 9)
-            .unwrap();
-        let sequential = Meloppr::new(&g, params())
-            .unwrap()
-            .with_shared_cache(Arc::new(ConcurrentSubgraphCache::new(512)));
-        let threaded = Meloppr::new(&g, params())
-            .unwrap()
-            .with_threads(4)
-            .unwrap()
-            .with_shared_cache(Arc::new(ConcurrentSubgraphCache::new(512)));
-        let req = QueryRequest::new(5);
-        assert_eq!(
-            threaded.estimate(&req).unwrap().latency_ns,
-            sequential.estimate(&req).unwrap().latency_ns
-        );
-        // Without a cache the threads do apply.
-        let uncached = Meloppr::new(&g, params()).unwrap().with_threads(4).unwrap();
-        assert!(
-            uncached.estimate(&req).unwrap().latency_ns
-                < sequential.estimate(&req).unwrap().latency_ns
         );
     }
 

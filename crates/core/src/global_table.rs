@@ -152,17 +152,6 @@ impl GlobalScoreTable {
         self.index.insert((score_key(score), node));
     }
 
-    /// Merges a sparse score list (e.g. one diffusion's output) into the
-    /// table.
-    pub fn add_all<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = (NodeId, f64)>,
-    {
-        for (node, score) in entries {
-            self.add(node, score);
-        }
-    }
-
     /// Current accumulated score of a node, if it is resident.
     pub fn get(&self, node: NodeId) -> Option<f64> {
         let dense = self.dense.get(node as usize).copied();
@@ -240,12 +229,6 @@ impl GlobalScoreTable {
         let dense = self.touched.iter().map(|&v| (v, self.dense[v as usize]));
         dense.chain(self.scores.iter().map(|(&v, &s)| (v, s)))
     }
-
-    /// Model bytes for a table of this capacity on the FPGA: each entry is
-    /// a 32-bit node id + 32-bit score (§V-A uses 32-bit integer scores).
-    pub fn fpga_bytes(capacity: usize) -> usize {
-        capacity * (4 + 4)
-    }
 }
 
 #[cfg(test)]
@@ -303,13 +286,6 @@ mod tests {
         t.add(2, 0.9);
         assert_eq!(t.ranking(3), vec![(2, 0.9), (1, 0.3), (5, 0.3)]);
         assert_eq!(t.ranking(1), vec![(2, 0.9)]);
-    }
-
-    #[test]
-    fn add_all_merges() {
-        let mut t = GlobalScoreTable::unbounded();
-        t.add_all(vec![(0, 0.1), (1, 0.2), (0, 0.3)]);
-        assert!((t.get(0).unwrap() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -393,12 +369,6 @@ mod tests {
         assert!(t.is_empty());
         t.add(7, 0.2);
         assert_eq!(t.entries().collect::<Vec<_>>(), vec![(7, 0.2)]);
-    }
-
-    #[test]
-    fn fpga_bytes_model() {
-        // c = 10, k = 200 -> 2000 entries x 8 bytes.
-        assert_eq!(GlobalScoreTable::fpga_bytes(2000), 16_000);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!   graph and either ball form;
 //! * [`quantized`] — **the precision ladder**: [`PrecisionClass`]
 //!   (`Exact64` / `Fast32` / `Fixed(q)`), the [`ScoreScalar`] abstraction
-//!   over f64/f32/Q-format score words, the dense branch-free
+//!   over f32/Q-format score words, the dense branch-free
 //!   [`diffuse_quantized`] kernel, and [`CompactBall`] — the half-width
 //!   cached-ball representation that lets the same
 //!   [`CacheBudget`] admit ~2× more residents. Queries pick a rung via
@@ -170,7 +170,6 @@ mod local_ppr;
 mod meloppr;
 pub mod memory;
 pub mod monte_carlo;
-mod parallel;
 mod params;
 pub mod planner;
 pub mod precision;
@@ -206,7 +205,7 @@ pub use memory::{format_bytes, parse_byte_size};
 pub use params::{MelopprParams, PprParams, ResidualPolicy};
 pub use planner::{plan_stages, StagePlan};
 pub use precision::{mean_precision, precision_at_k};
-pub use push::{forward_push, forward_push_class, PushResult};
+pub use push::{forward_push, PushResult};
 pub use quantized::{
     diffuse_quantized, CompactBall, PrecisionClass, QCtx, Qu32, QuantScratch, ScoreScalar,
 };

@@ -20,7 +20,7 @@
 //! share, which empirically dominates both keeping and dropping it and
 //! matches the paper's high precision at small selection ratios (Fig. 6).
 
-use meloppr_graph::{bfs_ball, GraphView, NodeId, Subgraph};
+use meloppr_graph::{GraphView, NodeId, Subgraph};
 
 use crate::cache::{CacheConsumer, CachedBall, ConcurrentSubgraphCache};
 use crate::diffusion::{DiffusionConfig, DiffusionScratch};
@@ -157,26 +157,12 @@ pub struct MelopprEngine<'g, G: GraphView + ?Sized> {
     params: MelopprParams,
 }
 
-/// A pending diffusion task: shared between the sequential engine and the
-/// parallel executor ([`crate::parallel`]).
+/// A pending diffusion task of the staged loop's queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TaskSpec {
-    pub(crate) node: NodeId,
-    pub(crate) weight: f64,
-    pub(crate) stage: usize,
-}
-
-/// Everything one executed task produces, before aggregation.
-#[derive(Debug, Clone)]
-pub(crate) struct TaskOutput {
-    /// Weighted `(global node, score)` contributions to the global vector.
-    pub(crate) contributions: Vec<(NodeId, f64)>,
-    /// Next-stage tasks spawned by this one, in selection order.
-    pub(crate) children: Vec<TaskSpec>,
-    /// Trace record.
-    pub(crate) record: DiffusionRecord,
-    /// Non-zero residual candidates seen (before selection).
-    pub(crate) candidates: usize,
+    node: NodeId,
+    weight: f64,
+    stage: usize,
 }
 
 /// The key of a stored stage result: everything a stage task's
@@ -338,61 +324,6 @@ impl StageResult {
     }
 }
 
-/// Executes one diffusion task: ball extraction, diffusion, Eq. 8
-/// adjustment, selection. Pure with respect to aggregation state, so
-/// callers may run tasks of the same stage concurrently and merge outputs
-/// in task order.
-pub(crate) fn execute_task<G: GraphView + ?Sized>(
-    graph: &G,
-    params: &MelopprParams,
-    task: &TaskSpec,
-    class: PrecisionClass,
-) -> Result<TaskOutput> {
-    let l = params.stages[task.stage];
-    let ball = bfs_ball(graph, task.node, l as u32)?;
-    let sub = Subgraph::extract(graph, &ball)?;
-    execute_task_on(&sub, ball.edges_scanned, params, task, class)
-}
-
-/// The diffusion/selection half of [`execute_task`], operating on an
-/// already-extracted sub-graph (`bfs_edges_scanned` is the BFS work its
-/// extraction cost).
-///
-/// Allocating wrapper over [`execute_task_on_with`] for callers without a
-/// workspace (the parallel executor needs owned per-task outputs anyway).
-pub(crate) fn execute_task_on(
-    sub: &Subgraph,
-    bfs_edges_scanned: usize,
-    params: &MelopprParams,
-    task: &TaskSpec,
-    class: PrecisionClass,
-) -> Result<TaskOutput> {
-    let mut diffusion = DiffusionScratch::new();
-    let mut quant = QuantScratchSet::default();
-    let mut candidates = Vec::new();
-    let mut contributions = Vec::new();
-    let mut children = Vec::new();
-    let (record, candidates_count) = execute_task_on_with(
-        BallRef::Full(sub),
-        bfs_edges_scanned,
-        params,
-        task,
-        params.stages[task.stage],
-        class,
-        &mut diffusion,
-        &mut quant,
-        &mut candidates,
-        &mut contributions,
-        &mut children,
-    )?;
-    Ok(TaskOutput {
-        contributions,
-        children,
-        record,
-        candidates: candidates_count,
-    })
-}
-
 /// The zero-allocation core of one diffusion task: diffusion into
 /// `diffusion` scratch, the Eq. 8 contribution adjustment in place on the
 /// accumulated vector, and selection in place on `candidates`.
@@ -400,7 +331,7 @@ pub(crate) fn execute_task_on(
 /// On success `contributions` holds the weighted global-id contributions
 /// and `children` the spawned next-stage tasks, both overwritten (not
 /// appended). Returns the trace record and the pre-selection candidate
-/// count. Bit-identical to [`execute_task_on`].
+/// count.
 ///
 /// `len` is the diffusion length to run — `params.stages[task.stage]`
 /// for a whole stage task, or the *remaining* length when a
@@ -408,7 +339,7 @@ pub(crate) fn execute_task_on(
 /// weights and Eq. 8 adjustment then use `α^len`, which is exactly the
 /// uneven-stage-split identity).
 #[allow(clippy::too_many_arguments)] // the workspace split keeps borrows disjoint
-pub(crate) fn execute_task_on_with(
+fn execute_task_on_with(
     ball: BallRef<'_>,
     bfs_edges_scanned: usize,
     params: &MelopprParams,
@@ -612,18 +543,18 @@ fn execute_segment_piece(
     })
 }
 
-/// Mutable accounting shared by the sequential and parallel executors.
+/// Mutable accounting of one staged query.
 ///
 /// The aggregation table is borrowed (typically from a
 /// [`QueryWorkspace`]) so its hash-map storage survives across queries;
 /// [`QueryAccumulator::new`] resets it.
 #[derive(Debug)]
-pub(crate) struct QueryAccumulator<'t> {
-    pub(crate) table: &'t mut GlobalScoreTable,
-    pub(crate) stages: Vec<StageStats>,
-    pub(crate) trace: Vec<DiffusionRecord>,
+struct QueryAccumulator<'t> {
+    table: &'t mut GlobalScoreTable,
+    stages: Vec<StageStats>,
+    trace: Vec<DiffusionRecord>,
     /// Set when a `max_memory_bytes` budget forced ball-depth shrinking.
-    pub(crate) memory_limited: bool,
+    memory_limited: bool,
     peak_task: CpuTaskMemory,
     peak_ball: (usize, usize),
     /// Largest instantaneous working set observed (task + table + queue
@@ -637,11 +568,7 @@ pub(crate) struct QueryAccumulator<'t> {
 }
 
 impl<'t> QueryAccumulator<'t> {
-    pub(crate) fn new(
-        params: &MelopprParams,
-        table: &'t mut GlobalScoreTable,
-        class: PrecisionClass,
-    ) -> Self {
+    fn new(params: &MelopprParams, table: &'t mut GlobalScoreTable, class: PrecisionClass) -> Self {
         let k = params.ppr.k;
         table.reset(params.table_factor.map(|c| c * k));
         QueryAccumulator {
@@ -664,7 +591,7 @@ impl<'t> QueryAccumulator<'t> {
     /// queue as they stand *now*. The running maximum is the honest
     /// peak — unlike combining the largest-ever task with the final
     /// table size, which mixes maxima from different instants.
-    pub(crate) fn observe_working_set(&mut self, rec: &DiffusionRecord, queue_len: usize) {
+    fn observe_working_set(&mut self, rec: &DiffusionRecord, queue_len: usize) {
         let task = cpu_task_memory_width(
             rec.ball_nodes,
             rec.ball_edges,
@@ -682,7 +609,7 @@ impl<'t> QueryAccumulator<'t> {
     /// post-merge [`QueryAccumulator::observe_working_set`] snapshot is
     /// always ≤ this bound, so enforcing the bound enforces the reported
     /// peak.
-    pub(crate) fn working_set_bound(
+    fn working_set_bound(
         &self,
         ball_nodes: usize,
         ball_edges: usize,
@@ -698,19 +625,9 @@ impl<'t> QueryAccumulator<'t> {
         meloppr_cpu_peak(task, table_bound, queue_len + spawn_bound)
     }
 
-    /// Merges one task's output (must be called in task order for
-    /// bit-for-bit deterministic results).
-    pub(crate) fn merge(&mut self, output: &TaskOutput) {
-        self.merge_parts(
-            &output.contributions,
-            output.children.len(),
-            output.record,
-            output.candidates,
-        );
-    }
-
-    /// As [`QueryAccumulator::merge`], from borrowed workspace buffers.
-    pub(crate) fn merge_parts(
+    /// Merges one diffusing task's output from the workspace buffers
+    /// (called in task order, so results are bit-for-bit deterministic).
+    fn merge_parts(
         &mut self,
         contributions: &[(NodeId, f64)],
         children: usize,
@@ -763,7 +680,7 @@ impl<'t> QueryAccumulator<'t> {
         self.peak_working_set = self.peak_working_set.max(snapshot);
     }
 
-    pub(crate) fn finish(self, ranking_scratch: &mut Vec<(NodeId, f64)>) -> MelopprOutcome {
+    fn finish(self, ranking_scratch: &mut Vec<(NodeId, f64)>) -> MelopprOutcome {
         let ranking = self.table.ranking_with(self.k, ranking_scratch);
         let aggregate_entries = self.table.len();
         let stats = MelopprStats {
@@ -887,7 +804,7 @@ impl Ball<'_> {
 }
 
 /// The staged query loop over workspace-owned storage: the engine behind
-/// [`MelopprEngine::query_with`] and both sequential execution modes of
+/// [`MelopprEngine::query_with`] and both execution modes of
 /// [`backend::Meloppr`](crate::backend::Meloppr) (the ball source is the
 /// only difference between fresh and cached serving).
 ///

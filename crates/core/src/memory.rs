@@ -17,8 +17,6 @@
 //!   accumulated score table + residual score table, §VI-B), plus the
 //!   bounded `c·k` global table.
 
-use meloppr_graph::SubgraphBytes;
-
 /// Bytes per word in the CPU model. The baseline the paper measures is
 /// NetworkX/Python, where scores and references are 8-byte objects.
 pub const CPU_WORD_BYTES: usize = 8;
@@ -47,11 +45,13 @@ pub fn cpu_task_memory(nodes: usize, edges: usize) -> CpuTaskMemory {
     cpu_task_memory_width(nodes, edges, CPU_WORD_BYTES)
 }
 
-/// [`cpu_task_memory`] with an explicit score-word width — the analytic
-/// twin of [`cpu_task_memory_measured_width`], used by the staged
-/// planner/estimator so a precision-ladder width downgrade is priced
-/// *before* ball depth is shrunk. At width [`CPU_WORD_BYTES`] this is
-/// exactly [`cpu_task_memory`].
+/// [`cpu_task_memory`] with an explicit score-word width, used by the
+/// staged planner, estimator and budget gate so a precision-ladder width
+/// downgrade is priced *before* ball depth is shrunk. The precision
+/// ladder stores scores at 8 bytes (`Exact64`) or 4 bytes (`Fast32` /
+/// `Fixed(q)`); graph storage and BFS bookkeeping stay at
+/// [`CPU_WORD_BYTES`], since they hold node ids, not scores. At width
+/// [`CPU_WORD_BYTES`] this is exactly [`cpu_task_memory`].
 pub fn cpu_task_memory_width(
     nodes: usize,
     edges: usize,
@@ -59,32 +59,6 @@ pub fn cpu_task_memory_width(
 ) -> CpuTaskMemory {
     CpuTaskMemory {
         graph_bytes: (2 * nodes + 2 * edges) * CPU_WORD_BYTES,
-        score_bytes: 3 * nodes * score_width_bytes,
-        bfs_bytes: 2 * nodes * CPU_WORD_BYTES,
-    }
-}
-
-/// CPU memory of one diffusion using the *measured* sub-graph
-/// representation bytes instead of the word model for the graph part.
-pub fn cpu_task_memory_measured(sub: SubgraphBytes, nodes: usize) -> CpuTaskMemory {
-    cpu_task_memory_measured_width(sub, nodes, CPU_WORD_BYTES)
-}
-
-/// [`cpu_task_memory_measured`] with an explicit score-word width.
-///
-/// The precision ladder stores scores at 8 bytes (`Exact64`) or 4 bytes
-/// (`Fast32` / `Fixed(q)`); the three dense diffusion vectors dominate a
-/// task's non-graph footprint, so the staged engine's memory planner uses
-/// this variant to model a width downgrade *before* shrinking ball depth.
-/// BFS bookkeeping stays at full [`CPU_WORD_BYTES`] — frontiers and
-/// visited maps hold node ids, not scores.
-pub fn cpu_task_memory_measured_width(
-    sub: SubgraphBytes,
-    nodes: usize,
-    score_width_bytes: usize,
-) -> CpuTaskMemory {
-    CpuTaskMemory {
-        graph_bytes: sub.total(),
         score_bytes: 3 * nodes * score_width_bytes,
         bfs_bytes: 2 * nodes * CPU_WORD_BYTES,
     }
@@ -234,26 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn measured_variant_uses_subgraph_bytes() {
-        let sub = SubgraphBytes {
-            csr: 1000,
-            id_maps: 500,
-            degrees: 100,
-        };
-        let m = cpu_task_memory_measured(sub, 25);
-        assert_eq!(m.graph_bytes, 1600);
-        assert_eq!(m.score_bytes, 3 * 25 * 8);
-    }
-
-    #[test]
     fn width_variant_halves_score_bytes_only() {
-        let sub = SubgraphBytes {
-            csr: 1000,
-            id_maps: 500,
-            degrees: 100,
-        };
-        let wide = cpu_task_memory_measured(sub, 25);
-        let narrow = cpu_task_memory_measured_width(sub, 25, 4);
+        let wide = cpu_task_memory(25, 60);
+        let narrow = cpu_task_memory_width(25, 60, 4);
         assert_eq!(narrow.graph_bytes, wide.graph_bytes);
         assert_eq!(narrow.bfs_bytes, wide.bfs_bytes);
         assert_eq!(narrow.score_bytes, wide.score_bytes / 2);

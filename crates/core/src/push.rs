@@ -24,7 +24,6 @@ use std::collections::VecDeque;
 use meloppr_graph::{FastHashMap, GraphView, NodeId};
 
 use crate::error::{PprError, Result};
-use crate::quantized::{PrecisionClass, QCtx, Qu32, ScoreScalar};
 use crate::score_vec::{top_k_sparse, Ranking};
 
 /// Result of a forward-push computation.
@@ -79,29 +78,6 @@ pub fn forward_push<G: GraphView + ?Sized>(
     epsilon: f64,
     k: usize,
 ) -> Result<PushResult> {
-    // The f64 instantiation of the generic kernel is bit-identical to
-    // the historical scalar implementation (every ScoreScalar op maps to
-    // the same floating-point expression).
-    forward_push_class(g, seed, alpha, epsilon, k, PrecisionClass::Exact64)
-}
-
-/// As [`forward_push`], computing at the requested
-/// [`PrecisionClass`] width. Estimates and the ranking are decoded back
-/// to `f64`; `Exact64` is bit-identical to [`forward_push`].
-///
-/// # Errors
-///
-/// As [`forward_push`], plus [`PprError::InvalidParams`] for an invalid
-/// class (fixed-point `q` out of `1..=30`).
-pub fn forward_push_class<G: GraphView + ?Sized>(
-    g: &G,
-    seed: NodeId,
-    alpha: f64,
-    epsilon: f64,
-    k: usize,
-    class: PrecisionClass,
-) -> Result<PushResult> {
-    class.validate()?;
     if !(alpha > 0.0 && alpha < 1.0) {
         return Err(PprError::InvalidParams {
             reason: format!("alpha must be in (0, 1), got {alpha}"),
@@ -126,34 +102,16 @@ pub fn forward_push_class<G: GraphView + ?Sized>(
         ));
     }
 
-    match class {
-        PrecisionClass::Exact64 => push_impl::<f64, G>(g, seed, alpha, epsilon, k, ()),
-        PrecisionClass::Fast32 => push_impl::<f32, G>(g, seed, alpha, epsilon, k, ()),
-        PrecisionClass::Fixed(q) => push_impl::<Qu32, G>(g, seed, alpha, epsilon, k, QCtx::new(q)),
-    }
-}
-
-/// The push kernel, generic over the score width. All masses stay in
-/// `S` until termination; the termination threshold is compared in `f64`
-/// (one decode per queue pop — never per edge).
-fn push_impl<S: ScoreScalar, G: GraphView + ?Sized>(
-    g: &G,
-    seed: NodeId,
-    alpha: f64,
-    epsilon: f64,
-    k: usize,
-    ctx: S::Ctx,
-) -> Result<PushResult> {
-    let mut estimate: FastHashMap<NodeId, S> = FastHashMap::default();
-    let mut residual: FastHashMap<NodeId, S> = FastHashMap::default();
-    residual.insert(seed, S::encode(ctx, 1.0));
+    let mut estimate: FastHashMap<NodeId, f64> = FastHashMap::default();
+    let mut residual: FastHashMap<NodeId, f64> = FastHashMap::default();
+    residual.insert(seed, 1.0);
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     queue.push_back(seed);
     let mut in_queue: FastHashMap<NodeId, bool> = FastHashMap::default();
     in_queue.insert(seed, true);
 
-    let c_keep = S::coeff(ctx, 1.0 - alpha); // (1-α)·r becomes estimate
-    let c_push = S::coeff(ctx, alpha); // α·r is pushed onward
+    // A push turns (1-α)·r into estimate and sends α·r onward.
+    let c_keep = 1.0 - alpha;
     let threshold = |deg: u32| epsilon * deg.max(1) as f64;
     let mut pushes = 0usize;
     let mut edges_touched = 0usize;
@@ -162,44 +120,37 @@ fn push_impl<S: ScoreScalar, G: GraphView + ?Sized>(
         in_queue.insert(u, false);
         let r = residual.get(&u).copied().unwrap_or_default();
         let deg = g.walk_degree(u);
-        if r.decode(ctx) < threshold(deg) {
+        if r < threshold(deg) {
             continue;
         }
         pushes += 1;
-        residual.insert(u, S::default());
+        residual.insert(u, 0.0);
         let e = estimate.entry(u).or_default();
-        *e = e.add(r.mul_coeff(c_keep));
+        *e += r * c_keep;
         if deg == 0 {
             // Isolated node: the walk stays here forever; all remaining
             // mass becomes estimate.
             let e = estimate.entry(u).or_default();
-            *e = e.add(r.mul_coeff(c_push));
+            *e += r * alpha;
             continue;
         }
-        // Floor variants: pushed fixed-point mass must strictly decrease
-        // for termination (see ScoreScalar::mul_coeff_floor).
-        let share = r.mul_coeff_floor(c_push).div_degree_floor(deg);
+        let share = r * alpha / deg as f64;
         let nbrs = g.neighbors(u);
         edges_touched += nbrs.len();
         for &v in nbrs {
             let rv = residual.entry(v).or_default();
-            *rv = rv.add(share);
-            if rv.decode(ctx) >= threshold(g.walk_degree(v))
-                && !in_queue.get(&v).copied().unwrap_or(false)
-            {
+            *rv += share;
+            if *rv >= threshold(g.walk_degree(v)) && !in_queue.get(&v).copied().unwrap_or(false) {
                 in_queue.insert(v, true);
                 queue.push_back(v);
             }
         }
     }
 
-    let residual_mass: f64 = residual.values().map(|r| r.decode(ctx)).sum();
+    let residual_mass: f64 = residual.values().sum();
     let touched_nodes = residual.len().max(estimate.len());
-    let mut estimates: Vec<(NodeId, f64)> = estimate
-        .into_iter()
-        .map(|(v, p)| (v, p.decode(ctx)))
-        .filter(|&(_, p)| p > 0.0)
-        .collect();
+    let mut estimates: Vec<(NodeId, f64)> =
+        estimate.into_iter().filter(|&(_, p)| p > 0.0).collect();
     estimates.sort_unstable_by_key(|&(v, _)| v);
     let ranking = top_k_sparse(&estimates, k);
     Ok(PushResult {
@@ -285,28 +236,6 @@ mod tests {
         assert!(forward_push(&g, 0, 0.85, 0.0, 5).is_err());
         assert!(forward_push(&g, 0, 0.85, 1e-6, 0).is_err());
         assert!(forward_push(&g, 9, 0.85, 1e-6, 5).is_err());
-    }
-
-    #[test]
-    fn quantized_push_tracks_exact_ranking() {
-        let g = generators::karate_club();
-        let exact = forward_push(&g, 0, 0.85, 1e-6, 10).unwrap();
-        for class in [PrecisionClass::Fast32, PrecisionClass::Fixed(16)] {
-            let approx = forward_push_class(&g, 0, 0.85, 1e-6, 10, class).unwrap();
-            let prec = precision_at_k(&approx.ranking, &exact.ranking, 10);
-            assert!(prec >= 0.8, "{class}: precision {prec}");
-            // Mass never exceeds the unit budget at any width.
-            let total: f64 = approx.estimates.iter().map(|&(_, p)| p).sum();
-            assert!(total <= 1.0 + 1e-6, "{class}: mass {total}");
-        }
-    }
-
-    #[test]
-    fn exact_class_is_bit_identical_to_forward_push() {
-        let g = generators::grid(8, 8).unwrap();
-        let a = forward_push(&g, 10, 0.85, 1e-7, 15).unwrap();
-        let b = forward_push_class(&g, 10, 0.85, 1e-7, 15, PrecisionClass::Exact64).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -214,20 +214,17 @@ impl std::str::FromStr for PrecisionClass {
 // ScoreScalar
 // ---------------------------------------------------------------------------
 
-/// One score-storage width: the arithmetic the quantized diffusion and
-/// push kernels are generic over.
+/// One reduced score-storage width: the arithmetic the quantized
+/// diffusion kernel is generic over, implemented by `f32` (the `Fast32`
+/// rung) and [`Qu32`] (the `Fixed(q)` rungs).
 ///
 /// All masses live in `[0, 1]` (diffusions start from unit vectors), so
 /// fixed-point implementations can use the full fractional range. The
-/// `f64` implementation is the forward-push kernel's `Exact64` rung
-/// (bit-identical to plain `f64` arithmetic); exact ball diffusion never
-/// goes through this trait, it runs the sparse
+/// `Exact64` rung never goes through this trait: it runs the sparse
 /// [`diffuse_into`](crate::diffusion::diffuse_into).
 pub trait ScoreScalar:
     Copy + Default + PartialEq + Send + Sync + std::fmt::Debug + 'static
 {
-    /// Display name for telemetry/tests.
-    const NAME: &'static str;
     /// Quantization context (the fixed-point format; `()` for floats).
     type Ctx: Copy;
     /// A pre-quantized multiplicative coefficient in `[0, 1]`.
@@ -243,60 +240,13 @@ pub trait ScoreScalar:
     fn mul_coeff(self, c: Self::Coeff) -> Self;
     /// `self / deg` (`deg ≥ 1`): the per-node propagation share.
     fn div_degree(self, deg: u32) -> Self;
-    /// `self · c` rounded toward zero. The push kernel uses this for the
-    /// forwarded `α`-share so fixed-point pushed mass *strictly*
-    /// decreases (a rounding multiply can map one quantum back to one
-    /// quantum and ping-pong forever). Floats are unchanged.
-    fn mul_coeff_floor(self, c: Self::Coeff) -> Self {
-        self.mul_coeff(c)
-    }
-    /// `self / deg` rounded toward zero (same termination argument).
-    fn div_degree_floor(self, deg: u32) -> Self {
-        self.div_degree(deg)
-    }
     /// Saturating/exact addition.
     fn add(self, rhs: Self) -> Self;
     /// Whether this value carries no mass.
     fn is_zero(self) -> bool;
 }
 
-impl ScoreScalar for f64 {
-    const NAME: &'static str = "f64";
-    type Ctx = ();
-    type Coeff = f64;
-
-    #[inline(always)]
-    fn encode(_: (), x: f64) -> f64 {
-        x
-    }
-    #[inline(always)]
-    fn decode(self, _: ()) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn coeff(_: (), c: f64) -> f64 {
-        c
-    }
-    #[inline(always)]
-    fn mul_coeff(self, c: f64) -> f64 {
-        self * c
-    }
-    #[inline(always)]
-    fn div_degree(self, deg: u32) -> f64 {
-        self / deg as f64
-    }
-    #[inline(always)]
-    fn add(self, rhs: f64) -> f64 {
-        self + rhs
-    }
-    #[inline(always)]
-    fn is_zero(self) -> bool {
-        self == 0.0
-    }
-}
-
 impl ScoreScalar for f32 {
-    const NAME: &'static str = "f32";
     type Ctx = ();
     type Coeff = f32;
 
@@ -359,7 +309,6 @@ pub struct QCoeff {
 pub struct Qu32(pub u32);
 
 impl ScoreScalar for Qu32 {
-    const NAME: &'static str = "q-fixed";
     type Ctx = QCtx;
     type Coeff = QCoeff;
 
@@ -385,14 +334,6 @@ impl ScoreScalar for Qu32 {
     #[inline(always)]
     fn div_degree(self, deg: u32) -> Qu32 {
         Qu32((self.0 + deg / 2) / deg)
-    }
-    #[inline(always)]
-    fn mul_coeff_floor(self, c: QCoeff) -> Qu32 {
-        Qu32(mul_shift(self.0 as u64, c.m, c.q) as u32)
-    }
-    #[inline(always)]
-    fn div_degree_floor(self, deg: u32) -> Qu32 {
-        Qu32(self.0 / deg)
     }
     #[inline(always)]
     fn add(self, rhs: Qu32) -> Qu32 {

@@ -94,24 +94,6 @@ pub fn top_k_in_place(entries: &mut Vec<(NodeId, f64)>, k: usize) {
     entries.truncate(k);
 }
 
-/// The node set of a ranking (for precision computations). Keyed by the
-/// deterministic [`FastHashSet`](meloppr_graph::FastHashSet) so query-path
-/// consumers stay reproducible across runs.
-pub fn ranking_nodes(ranking: &Ranking) -> meloppr_graph::FastHashSet<NodeId> {
-    ranking.iter().map(|&(v, _)| v).collect()
-}
-
-/// Sum of all entries of a dense score vector (mass-conservation checks).
-pub fn total_mass(scores: &[f64]) -> f64 {
-    scores.iter().sum()
-}
-
-/// Number of entries strictly greater than `threshold` — the sparsity
-/// measure behind Fig. 6's "less than 1 % of nodes have large scores".
-pub fn count_above(scores: &[f64], threshold: f64) -> usize {
-    scores.iter().filter(|&&s| s > threshold).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,22 +145,6 @@ mod tests {
         let scores = [0.4, 0.4, 0.4, 0.4];
         let top = top_k_dense(&scores, 2);
         assert_eq!(top, vec![(0, 0.4), (1, 0.4)]);
-    }
-
-    #[test]
-    fn ranking_nodes_collects_ids() {
-        let ranking = vec![(3, 0.5), (1, 0.2)];
-        let set = ranking_nodes(&ranking);
-        assert!(set.contains(&3) && set.contains(&1));
-        assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn total_mass_and_count_above() {
-        let scores = [0.5, 0.25, 0.25];
-        assert!((total_mass(&scores) - 1.0).abs() < 1e-12);
-        assert_eq!(count_above(&scores, 0.3), 1);
-        assert_eq!(count_above(&scores, 0.0), 3);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl FixedPointFormat {
 
     /// Hardware multiply-by-α: `(x·αp) >> q`, computed in 64 bits exactly
     /// as a DSP-free multiplier + shifter would (the shared
-    /// [`mul_shift`] primitive the host Q-format rungs also use).
+    /// [`mul_shift`] primitive of `meloppr_core::quantized`).
     pub fn mul_alpha(&self, x: u32) -> u32 {
         mul_shift(x as u64, self.alpha_p as u64, self.q) as u32
     }

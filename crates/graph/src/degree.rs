@@ -1,9 +1,8 @@
-//! Degree statistics and histograms.
+//! Degree statistics.
 //!
 //! The fixed-point accelerator scales the seed score by a degree-derived
 //! constant (`Max = d·|G_L(s)|` with `d` set to half the maximum degree,
-//! §V-A), and the sparsity analysis of Fig. 6 buckets normalized PPR scores
-//! — both consume the helpers in this module.
+//! §V-A), computed from [`degree_stats`].
 
 use crate::view::GraphView;
 
@@ -54,41 +53,6 @@ pub fn degree_stats<G: GraphView + ?Sized>(g: &G) -> DegreeStats {
     }
 }
 
-/// Returns `(degree, node_count)` pairs sorted by degree — the empirical
-/// degree distribution.
-pub fn degree_distribution<G: GraphView + ?Sized>(g: &G) -> Vec<(u32, usize)> {
-    let mut counts: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-    for u in 0..g.num_nodes() {
-        *counts
-            .entry(g.neighbors(u as crate::NodeId).len() as u32)
-            .or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
-}
-
-/// Bins the degree sequence into `buckets` equal-width bins over
-/// `[0, max_degree]` and returns the per-bin node counts.
-///
-/// # Panics
-///
-/// Panics if `buckets == 0`.
-pub fn degree_histogram<G: GraphView + ?Sized>(g: &G, buckets: usize) -> Vec<usize> {
-    assert!(buckets > 0, "histogram needs at least one bucket");
-    let n = g.num_nodes();
-    let max = (0..n)
-        .map(|u| g.neighbors(u as crate::NodeId).len() as u32)
-        .max()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; buckets];
-    let width = (max as f64 + 1.0) / buckets as f64;
-    for u in 0..n {
-        let d = g.neighbors(u as crate::NodeId).len() as f64;
-        let idx = ((d / width) as usize).min(buckets - 1);
-        hist[idx] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,26 +75,5 @@ mod tests {
         let s = degree_stats(&g);
         assert_eq!(s.isolated, 3);
         assert_eq!(s.min, 0);
-    }
-
-    #[test]
-    fn distribution_on_path() {
-        let g = generators::path(5).unwrap();
-        let dist = degree_distribution(&g);
-        assert_eq!(dist, vec![(1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = generators::grid(6, 6).unwrap();
-        let h = degree_histogram(&g, 4);
-        assert_eq!(h.iter().sum::<usize>(), 36);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_zero_buckets_panics() {
-        let g = generators::path(3).unwrap();
-        let _ = degree_histogram(&g, 0);
     }
 }

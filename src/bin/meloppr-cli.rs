@@ -30,8 +30,7 @@
 //! batch statistics. With a pinned backend the batch runs through the
 //! `BatchExecutor` — `--threads` sets the worker count, one reusable
 //! query workspace per worker. With `--backend auto` each request is
-//! routed individually (sequentially; `--threads` then only sets the
-//! staged backend's intra-query parallelism).
+//! routed individually and sequentially. `--threads` has no other use.
 //!
 //! `--cache-shared` attaches a concurrent sub-graph cache to the staged
 //! `meloppr` backend: all batch workers share one cache, hot balls are
@@ -129,8 +128,9 @@ const USAGE: &str = "usage:
 
   <graph> = an edge-list file path, or corpus:<G1..G6>[:scale]
   --batch-file F = whitespace-separated seed nodes ('#' comments);
-                   pinned backends batch with --threads workers,
-                   --backend auto routes each request individually
+                   pinned backends batch with --threads workers (the
+                   flag's only use), --backend auto routes each request
+                   individually
   --cache-shared = share one concurrent sub-graph cache across all
                    workers of the staged meloppr backend
   --cache-capacity N / --cache-bytes SIZE = the shared cache's budget in
@@ -609,9 +609,7 @@ fn query(g: &CsrGraph, args: &[String], exact_only: bool) -> Result<(), String> 
             save_calibration(&router, &qa)?;
             (outcomes, stats, "router (per-request)".to_string())
         } else {
-            // Batch workers own the parallelism; the staged backend runs
-            // its intra-query schedule sequentially.
-            let (backend, label) = build_pinned(g, ppr, staged, hybrid_config, &qa, 1)?;
+            let (backend, label) = build_pinned(g, ppr, staged, hybrid_config, &qa)?;
             let batch = BatchExecutor::new(workers)
                 .map_err(err)?
                 .run(backend.as_ref(), &reqs)
@@ -719,7 +717,7 @@ fn query(g: &CsrGraph, args: &[String], exact_only: bool) -> Result<(), String> 
             ),
         )
     } else {
-        let (backend, label) = build_pinned(g, ppr, staged, hybrid_config, &qa, qa.threads.max(1))?;
+        let (backend, label) = build_pinned(g, ppr, staged, hybrid_config, &qa)?;
         (backend.query(&req).map_err(err)?, label)
     };
 
@@ -815,7 +813,6 @@ fn build_pinned<'g>(
     staged: MelopprParams,
     hybrid_config: HybridConfig,
     qa: &QueryArgs,
-    staged_threads: usize,
 ) -> Result<(Box<dyn PprBackend + Sync + 'g>, String), String> {
     let err = |e: meloppr::core::PprError| e.to_string();
     Ok(match qa.backend {
@@ -833,8 +830,6 @@ fn build_pinned<'g>(
         ),
         BackendChoice::Meloppr => {
             let backend = Meloppr::new(g, staged)
-                .map_err(err)?
-                .with_threads(staged_threads)
                 .map_err(err)?
                 .with_cache_window(qa.cache_window);
             if qa.cache_shared {
@@ -875,8 +870,6 @@ fn build_router<'g>(
 ) -> Result<Router<'g>, String> {
     let err = |e: meloppr::core::PprError| e.to_string();
     let mut meloppr_backend = Meloppr::new(g, staged.clone())
-        .map_err(err)?
-        .with_threads(qa.threads.max(1))
         .map_err(err)?
         .with_cache_window(qa.cache_window);
     if qa.cache_shared {

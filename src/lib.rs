@@ -58,7 +58,7 @@
 //! |---|---|---|---|
 //! | [`backend::ExactPower`] | yes | dense vectors over the full graph | ground truth, small graphs, evaluation |
 //! | [`backend::LocalPpr`] | yes | the whole depth-`L` ball `G_L(s)` | exactness required and the ball fits memory |
-//! | [`backend::Meloppr`] | at 100 % selection | one stage ball at a time | the paper's sweet spot: tight memory, high precision; threads/cache options |
+//! | [`backend::Meloppr`] | at 100 % selection | one stage ball at a time | the paper's sweet spot: tight memory, high precision; shared-cache option |
 //! | [`backend::MonteCarlo`] | no | near-constant | very tight memory/latency, approximate answers fine |
 //! | [`FpgaHybrid`] | no (fixed-point) | on-chip BRAM tables | lowest simulated latency; accelerator studies |
 //!

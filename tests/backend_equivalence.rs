@@ -4,10 +4,9 @@
 //! synthetic corpus graph.
 //!
 //! The direct engines ([`MelopprEngine`], [`HybridMeloppr`],
-//! [`exact_top_k`]) and cross-mode agreement pin the API: threaded staged
-//! queries against sequential ones, and the staged backend's shared
-//! cache, over every cache configuration the binaries can express,
-//! against its uncached mode.
+//! [`exact_top_k`]) and cross-mode agreement pin the API: the staged
+//! backend's shared cache, over every cache configuration the binaries
+//! can express, against its uncached mode.
 
 use std::sync::Arc;
 
@@ -110,27 +109,6 @@ fn meloppr_backend_equals_engine_query() {
         for seed in seeds_for(g) {
             let direct = engine.query(seed).unwrap().ranking;
             let boxed = query_boxed(Box::new(Meloppr::new(g, params.clone()).unwrap()), seed);
-            assert_eq!(boxed, direct, "{name} seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn meloppr_threaded_backend_equals_sequential() {
-    for (name, g) in &fixtures() {
-        let params = staged_params();
-        let engine = MelopprEngine::new(g, params.clone()).unwrap();
-        for seed in seeds_for(g) {
-            let direct = engine.query(seed).unwrap().ranking;
-            let boxed = query_boxed(
-                Box::new(
-                    Meloppr::new(g, params.clone())
-                        .unwrap()
-                        .with_threads(4)
-                        .unwrap(),
-                ),
-                seed,
-            );
             assert_eq!(boxed, direct, "{name} seed {seed}");
         }
     }
