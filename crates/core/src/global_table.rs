@@ -13,17 +13,21 @@
 //! index, giving `O(log n)` adds and exact minimum eviction. The
 //! unbounded table (the exact CPU reference) instead aggregates into a
 //! dense `f64` array indexed by node id plus a list of the nodes it
-//! touched: an add is one array update, a reset clears only the touched
-//! slots, and a ranking reads only the touched nodes. The array grows on
-//! first use to the largest node id added, so a table that has served a
-//! graph of `n` nodes holds up to `8·n` bytes (131 KiB for the
-//! 16 743-node G4 graph at 5 % scale) for as long as it is reused.
+//! touched: an add is one dense update, and a staged task merges all its
+//! contributions in one loop that checks the table's mode once per task,
+//! not once per entry. A reset clears only the touched slots, and a
+//! ranking streams the touched nodes through the bounded selection of
+//! `score_vec::top_k_into` into the caller's scratch, keeping at most
+//! `max(2k, 64)` candidates. The array grows on first use to the largest
+//! node id added, so a table that has served a graph of `n` nodes holds up
+//! to `8·n` bytes (131 KiB for the 16 743-node G4 graph at 5 % scale) for
+//! as long as it is reused.
 
 use std::collections::BTreeSet;
 
 use meloppr_graph::{FastHashMap, NodeId};
 
-use crate::score_vec::Ranking;
+use crate::score_vec::{by_rank, top_k_into, Ranking};
 
 /// Orders non-negative `f64` scores inside the [`BTreeSet`] index.
 ///
@@ -110,23 +114,48 @@ impl GlobalScoreTable {
     ///
     /// Non-positive scores are ignored (diffusion never produces them).
     /// The ordered index is only maintained in bounded mode (eviction
-    /// needs the minimum); unbounded accumulation is one dense-array add,
-    /// keeping the aggregation hot path cheap.
+    /// needs the minimum); unbounded accumulation is one dense-array
+    /// update. This is `add_all` of one entry; a staged task merges
+    /// through `add_all`, which checks the mode once per task.
     pub fn add(&mut self, node: NodeId, score: f64) {
+        self.add_all([(node, score)]);
+    }
+
+    /// Adds every `(node, score)` of one task, in order: the same totals,
+    /// evictions and lost mass as one [`add`](Self::add) per entry. The
+    /// table's mode is checked once per call; unbounded, the whole task is
+    /// one tight loop of dense updates (skip a non-positive score, grow
+    /// the array to the node id, record a first touch, `+=`).
+    pub(crate) fn add_all(&mut self, entries: impl IntoIterator<Item = (NodeId, f64)>) {
+        let Some(cap) = self.capacity else {
+            let (dense, touched) = (&mut self.dense, &mut self.touched);
+            for (node, score) in entries {
+                if score <= 0.0 {
+                    continue;
+                }
+                let slot = node as usize;
+                if slot >= dense.len() {
+                    dense.resize(slot + 1, 0.0);
+                }
+                let total = &mut dense[slot];
+                if *total == 0.0 {
+                    touched.push(node);
+                }
+                *total += score;
+            }
+            return;
+        };
+        for (node, score) in entries {
+            self.add_bounded(cap, node, score);
+        }
+    }
+
+    /// One bounded-mode add: accumulate a resident node, or compete with
+    /// the resident minimum once the table holds `cap` entries.
+    fn add_bounded(&mut self, cap: usize, node: NodeId, score: f64) {
         if score <= 0.0 {
             return;
         }
-        let Some(cap) = self.capacity else {
-            let slot = node as usize;
-            if slot >= self.dense.len() {
-                self.dense.resize(slot + 1, 0.0);
-            }
-            if self.dense[slot] == 0.0 {
-                self.touched.push(node);
-            }
-            self.dense[slot] += score;
-            return;
-        };
         if let Some(&old) = self.scores.get(&node) {
             self.index.remove(&(score_key(old), node));
             let new = old + score;
@@ -188,20 +217,21 @@ impl GlobalScoreTable {
         self.ranking_with(k, &mut Vec::new())
     }
 
-    /// As [`GlobalScoreTable::ranking`], but routes the unbounded-mode
-    /// entry collection through a caller-owned scratch buffer so repeated
-    /// rankings only allocate the returned `Ranking` itself.
+    /// As [`GlobalScoreTable::ranking`], but selects through a
+    /// caller-owned scratch buffer so repeated rankings only allocate the
+    /// returned `Ranking` itself. Unbounded, the touched nodes stream
+    /// through `score_vec::top_k_into`, which keeps at most `max(2k, 64)`
+    /// candidates in `scratch` instead of copying every entry; the ranking
+    /// is then a copy of the `k` it leaves there.
     pub fn ranking_with(&self, k: usize, scratch: &mut Vec<(NodeId, f64)>) -> Ranking {
         if k == 0 {
             return Vec::new();
         }
         if self.capacity.is_none() {
-            // Unbounded mode keeps no ordered index; select from the
-            // touched nodes (`top_k_in_place` orders totally, so the
-            // order they are listed in cannot show).
-            scratch.clear();
-            scratch.extend(self.entries());
-            crate::score_vec::top_k_in_place(scratch, k);
+            // The selection orders totally, so the first-touch order of
+            // `touched` cannot show.
+            let entries = self.touched.iter().map(|&v| (v, self.dense[v as usize]));
+            top_k_into(entries, k, scratch);
             return scratch.clone();
         }
         // BTreeSet orders ascending by (score, id); reversed iteration
@@ -219,7 +249,7 @@ impl GlobalScoreTable {
                 boundary_key = Some(key);
             }
         }
-        out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        out.sort_unstable_by(by_rank);
         out.truncate(k);
         out
     }
@@ -234,6 +264,8 @@ impl GlobalScoreTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn unbounded_accumulates_exactly() {
@@ -369,6 +401,117 @@ mod tests {
         assert!(t.is_empty());
         t.add(7, 0.2);
         assert_eq!(t.entries().collect::<Vec<_>>(), vec![(7, 0.2)]);
+    }
+
+    /// Both tables of one mode after the same input: everything a caller
+    /// can observe is `==`, scores compared as `f64`.
+    fn assert_same_table(a: &GlobalScoreTable, b: &GlobalScoreTable, nodes: &[NodeId]) {
+        for &v in nodes {
+            assert_eq!(a.get(v), b.get(v), "node {v}");
+        }
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.evictions(), b.evictions());
+        assert_eq!(a.lost_mass(), b.lost_mass());
+        for k in 0..=a.len() + 2 {
+            assert_eq!(a.ranking(k), b.ranking(k), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn add_all_equals_repeated_add_in_both_modes() {
+        // Zero and negative scores, repeated nodes, and ids far beyond the
+        // dense array's current length (it has grown to 41 by then).
+        let warm: Vec<(NodeId, f64)> = vec![(3, 0.5), (40, 0.25), (3, 0.125)];
+        let mut stream: Vec<(NodeId, f64)> = vec![
+            (7, 0.0),
+            (9, -0.5),
+            (3, 0.0625),
+            (5_000, 0.3),
+            (41, 0.2),
+            (9, 0.1),
+            (5_000, -0.1),
+            (70_000, 0.05),
+            (40, 0.0),
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        for _ in 0..2_000 {
+            let node = rng.gen_range(0..3_000u32);
+            let score = match rng.gen_range(0..10u32) {
+                0 => 0.0,
+                1 => -rng.gen::<f64>(),
+                2 => 0.25,
+                _ => rng.gen::<f64>(),
+            };
+            stream.push((node, score));
+        }
+        let mut nodes: Vec<NodeId> = stream.iter().chain(&warm).map(|&(v, _)| v).collect();
+        nodes.extend([0, 8, 4_999, 69_999, 100_000]);
+        for capacity in [None, Some(1), Some(4), Some(64), Some(10_000)] {
+            let mut each = GlobalScoreTable::unbounded();
+            let mut all = GlobalScoreTable::unbounded();
+            for t in [&mut each, &mut all] {
+                t.reset(capacity);
+                for &(v, s) in &warm {
+                    t.add(v, s);
+                }
+            }
+            for &(v, s) in &stream {
+                each.add(v, s);
+            }
+            // One call per task-sized chunk, as the staged merges make.
+            for chunk in stream.chunks(37) {
+                all.add_all(chunk.iter().copied());
+            }
+            assert_same_table(&each, &all, &nodes);
+            if capacity.is_some_and(|c| c < 1_000) {
+                assert!(all.evictions() > 0, "capacity {capacity:?} never evicted");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn unbounded_ranking_with_equals_a_full_sort(
+            streams in prop::collection::vec(
+                (
+                    prop::collection::vec((0u32..400, 0u8..4), 0..300),
+                    0u32..12,
+                ),
+                1..3,
+            ),
+        ) {
+            // One table and one scratch serve every stream and every k.
+            let mut table = GlobalScoreTable::unbounded();
+            let mut scratch = Vec::new();
+            for (entries, tied) in &streams {
+                table.reset(None);
+                // Quarter-step scores sum exactly, so many totals tie;
+                // `tied` more nodes all scoring 0.5 force ties at the
+                // boundary for a range of k.
+                let stream: Vec<(NodeId, f64)> = entries
+                    .iter()
+                    .map(|&(v, level)| (v, f64::from(level) * 0.25))
+                    .chain((0..*tied).map(|i| (1_000 + i, 0.5)))
+                    .collect();
+                let mut totals = std::collections::BTreeMap::<NodeId, f64>::new();
+                for &(v, s) in &stream {
+                    table.add(v, s);
+                    if s > 0.0 {
+                        *totals.entry(v).or_insert(0.0) += s;
+                    }
+                }
+                let mut reference: Vec<(NodeId, f64)> =
+                    totals.into_iter().filter(|&(_, s)| s > 0.0).collect();
+                reference.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                for k in 0..=table.len() + 2 {
+                    let mut want = reference.clone();
+                    want.truncate(k);
+                    prop_assert_eq!(table.ranking_with(k, &mut scratch), want, "k = {}", k);
+                }
+            }
+        }
     }
 
     #[test]

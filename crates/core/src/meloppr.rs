@@ -625,8 +625,10 @@ impl<'t> QueryAccumulator<'t> {
         meloppr_cpu_peak(task, table_bound, queue_len + spawn_bound)
     }
 
-    /// Merges one diffusing task's output from the workspace buffers
-    /// (called in task order, so results are bit-for-bit deterministic).
+    /// Merges one diffusing task's output from the workspace buffers:
+    /// its weighted contributions go into the table in one
+    /// [`GlobalScoreTable::add_all`] call, and its work is counted.
+    /// Called in task order, so results are bit-for-bit deterministic.
     fn merge_parts(
         &mut self,
         contributions: &[(NodeId, f64)],
@@ -634,9 +636,7 @@ impl<'t> QueryAccumulator<'t> {
         rec: DiffusionRecord,
         candidates: usize,
     ) {
-        for &(node, score) in contributions {
-            self.table.add(node, score);
-        }
+        self.table.add_all(contributions.iter().copied());
         let st = &mut self.stages[rec.stage];
         st.diffusions += 1;
         st.candidates += candidates;
@@ -659,14 +659,14 @@ impl<'t> QueryAccumulator<'t> {
     }
 
     /// Merges a task served by a stored stage result at `weight`: its
-    /// contributions go into the table in stored order, exactly as the
-    /// diffusing task's merge adds them, and the reuse, its candidates
-    /// and its children are counted. No diffusion, ball work or trace
-    /// record: none ran.
+    /// contributions `weight * s` go into the table in one
+    /// [`GlobalScoreTable::add_all`] call, in stored order, exactly as
+    /// the diffusing task's merge adds them, and the reuse, its
+    /// candidates and its children are counted. No diffusion, ball work
+    /// or trace record: none ran.
     fn merge_reused(&mut self, stage: usize, result: &StageResult, weight: f64) {
-        for (node, s) in result.contributions() {
-            self.table.add(node, weight * s);
-        }
+        self.table
+            .add_all(result.contributions().map(|(node, s)| (node, weight * s)));
         let st = &mut self.stages[stage];
         st.reused += 1;
         st.candidates += result.candidates;

@@ -24,11 +24,7 @@ pub type Ranking = Vec<(NodeId, f64)>;
 /// assert_eq!(top_k_dense(&scores, 2), vec![(2, 0.5), (0, 0.1)]);
 /// ```
 pub fn top_k_dense(scores: &[f64], k: usize) -> Ranking {
-    let entries = scores
-        .iter()
-        .enumerate()
-        .filter(|&(_, &s)| s > 0.0)
-        .map(|(i, &s)| (i as NodeId, s));
+    let entries = scores.iter().enumerate().map(|(i, &s)| (i as NodeId, s));
     top_k_from_iter(entries, k)
 }
 
@@ -36,36 +32,51 @@ pub fn top_k_dense(scores: &[f64], k: usize) -> Ranking {
 /// ordering rules as [`top_k_dense`]. The input need not be sorted; nodes
 /// must be unique.
 pub fn top_k_sparse(scores: &[(NodeId, f64)], k: usize) -> Ranking {
-    top_k_from_iter(scores.iter().copied().filter(|&(_, s)| s > 0.0), k)
+    top_k_from_iter(scores.iter().copied(), k)
 }
 
-/// Streaming bounded selection: instead of collecting and sorting every
-/// entry (O(n log n) per query), keep a buffer of at most `max(2k, 64)`
-/// candidates, pruning with `select_nth_unstable` whenever it fills and
-/// skipping entries strictly below the current kth-best score. Ties at
-/// the boundary are never skipped (an equal score with a smaller node id
-/// can still enter the top-k), so the result is identical to the full
-/// sort. Amortized O(n + k log k).
-fn top_k_from_iter<I>(entries: I, k: usize) -> Ranking
-where
-    I: Iterator<Item = (NodeId, f64)>,
-{
+/// [`top_k_into`] into a fresh buffer: the allocating form behind
+/// [`top_k_dense`] and [`top_k_sparse`].
+fn top_k_from_iter(entries: impl IntoIterator<Item = (NodeId, f64)>, k: usize) -> Ranking {
+    let mut buf = Vec::new();
+    top_k_into(entries, k, &mut buf);
+    buf
+}
+
+/// Ranking order: descending score, ties by ascending node id.
+pub(crate) fn by_rank(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Streaming bounded selection of the top-`k` positive entries into a
+/// caller-owned buffer, which it overwrites with the ranking (descending
+/// score, ties by ascending node id). Nodes must be unique.
+///
+/// Instead of collecting and sorting every entry (O(n log n)), the buffer
+/// holds at most `max(2k, 64)` candidates: when it fills,
+/// `select_nth_unstable` prunes it to the `k` best, and from then on an
+/// entry strictly below the current `k`-th score is dropped on arrival.
+/// Ties at the boundary are never dropped (an equal score with a smaller
+/// node id can still enter the top-`k`), so the result equals the full
+/// sort's. Amortized O(n + k log k); a reused buffer allocates nothing.
+pub(crate) fn top_k_into(
+    entries: impl IntoIterator<Item = (NodeId, f64)>,
+    k: usize,
+    buf: &mut Vec<(NodeId, f64)>,
+) {
+    buf.clear();
     if k == 0 {
-        return Vec::new();
+        return;
     }
-    let cmp =
-        |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
     let cap = (2 * k).max(64);
-    let mut buf: Vec<(NodeId, f64)> = Vec::with_capacity(cap + 1);
-    // Once the buffer has been pruned, scores strictly below the kth-best
-    // seen so far can never reach the top-k and are dropped on arrival.
+    buf.reserve(cap);
     let mut kth_score = f64::NEG_INFINITY;
     for entry in entries {
-        if entry.1 < kth_score {
+        if !(entry.1 > 0.0 && entry.1 >= kth_score) {
             continue;
         }
         if buf.len() >= cap {
-            buf.select_nth_unstable_by(k - 1, cmp);
+            buf.select_nth_unstable_by(k - 1, by_rank);
             buf.truncate(k);
             kth_score = buf[k - 1].1;
             if entry.1 < kth_score {
@@ -74,8 +85,7 @@ where
         }
         buf.push(entry);
     }
-    top_k_in_place(&mut buf, k);
-    buf
+    top_k_in_place(buf, k);
 }
 
 /// Reduces a caller-owned `(node, score)` buffer to its top-`k` in place
@@ -84,13 +94,11 @@ where
 /// ranking (descending score, ties by ascending node id).
 pub fn top_k_in_place(entries: &mut Vec<(NodeId, f64)>, k: usize) {
     entries.retain(|&(_, s)| s > 0.0);
-    let cmp =
-        |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
     if entries.len() > k && k > 0 {
-        entries.select_nth_unstable_by(k - 1, cmp);
+        entries.select_nth_unstable_by(k - 1, by_rank);
         entries.truncate(k);
     }
-    entries.sort_unstable_by(cmp);
+    entries.sort_unstable_by(by_rank);
     entries.truncate(k);
 }
 
